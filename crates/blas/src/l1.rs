@@ -9,7 +9,7 @@
 use batsolv_types::Scalar;
 
 /// `x · y`.
-#[inline]
+#[inline(always)]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
     let mut acc = T::ZERO;
@@ -20,13 +20,13 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 }
 
 /// Euclidean norm `‖x‖₂`.
-#[inline]
+#[inline(always)]
 pub fn nrm2<T: Scalar>(x: &[T]) -> T {
     dot(x, x).sqrt()
 }
 
 /// `y ← α·x + y`.
-#[inline]
+#[inline(always)]
 pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
     for (&xv, yv) in x.iter().zip(y.iter_mut()) {
@@ -35,7 +35,7 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 }
 
 /// `y ← α·x + β·y`.
-#[inline]
+#[inline(always)]
 pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
     for (&xv, yv) in x.iter().zip(y.iter_mut()) {
@@ -44,7 +44,7 @@ pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
 }
 
 /// `x ← α·x`.
-#[inline]
+#[inline(always)]
 pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
     for v in x.iter_mut() {
         *v *= alpha;
@@ -52,13 +52,13 @@ pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
 }
 
 /// `y ← x`.
-#[inline]
+#[inline(always)]
 pub fn copy<T: Scalar>(x: &[T], y: &mut [T]) {
     y.copy_from_slice(x);
 }
 
 /// `z ← x ⊙ y` (Hadamard product; the scalar-Jacobi application).
-#[inline]
+#[inline(always)]
 pub fn mul_elementwise<T: Scalar>(x: &[T], y: &[T], z: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), z.len());
@@ -69,7 +69,7 @@ pub fn mul_elementwise<T: Scalar>(x: &[T], y: &[T], z: &mut [T]) {
 
 /// `y ← x ⊘ d` with zero-diagonal protection: rows whose `d` entry is
 /// exactly zero pass through unscaled (matches Ginkgo's batch Jacobi).
-#[inline]
+#[inline(always)]
 pub fn div_elementwise_guarded<T: Scalar>(x: &[T], d: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), d.len());
     debug_assert_eq!(x.len(), y.len());
@@ -80,7 +80,7 @@ pub fn div_elementwise_guarded<T: Scalar>(x: &[T], d: &[T], y: &mut [T]) {
 
 /// `r ← b − r` in place (used to finish residual computation after
 /// `r = A·x`).
-#[inline]
+#[inline(always)]
 pub fn sub_from<T: Scalar>(b: &[T], r: &mut [T]) {
     debug_assert_eq!(b.len(), r.len());
     for (&bv, rv) in b.iter().zip(r.iter_mut()) {
@@ -89,7 +89,7 @@ pub fn sub_from<T: Scalar>(b: &[T], r: &mut [T]) {
 }
 
 /// Infinity norm `max |x_i|`.
-#[inline]
+#[inline(always)]
 pub fn nrm_inf<T: Scalar>(x: &[T]) -> T {
     x.iter().fold(T::ZERO, |m, &v| m.max_val(v.abs()))
 }

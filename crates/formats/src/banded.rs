@@ -116,6 +116,18 @@ impl<T: Scalar> BatchBanded<T> {
         self.ab_of(i)[self.band_index(row, col)]
     }
 
+    /// Row `r` of `A_i x`, accumulated left to right over the band.
+    #[inline(always)]
+    fn row_times(&self, i: usize, r: usize, x: &[T]) -> T {
+        let lo = r.saturating_sub(self.kl);
+        let hi = (r + self.ku).min(self.dims.num_rows - 1);
+        let mut acc = T::ZERO;
+        for c in lo..=hi {
+            acc = self.at(i, r, c).mul_add(x[c], acc);
+        }
+        acc
+    }
+
     /// Mutable reference to band entry `(row, col)` of system `i`.
     ///
     /// # Panics
@@ -145,16 +157,17 @@ impl<T: Scalar> BatchMatrix<T> for BatchBanded<T> {
         self.ldab * self.dims.num_rows
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        let n = self.dims.num_rows;
-        for r in 0..n {
-            let lo = r.saturating_sub(self.kl);
-            let hi = (r + self.ku).min(n - 1);
-            let mut acc = T::ZERO;
-            for c in lo..=hi {
-                acc = self.at(i, r, c).mul_add(x[c], acc);
-            }
-            y[r] = acc;
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = self.row_times(i, r, x);
+        }
+    }
+
+    #[inline(always)]
+    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = alpha * self.row_times(i, r, x) + beta * *yr;
         }
     }
 

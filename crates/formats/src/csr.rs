@@ -159,6 +159,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchCsr<T> {
         self.pattern.nnz()
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
@@ -175,6 +176,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchCsr<T> {
         }
     }
 
+    #[inline(always)]
     fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
         let vals = self.values_of(i);
         let cols = self.pattern.col_idxs();

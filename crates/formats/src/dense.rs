@@ -89,6 +89,18 @@ impl<T: Scalar> BatchDense<T> {
         &self.values[i * nn..(i + 1) * nn]
     }
 
+    /// Row `r` of `A_i x`, accumulated left to right.
+    #[inline(always)]
+    fn row_times(&self, i: usize, r: usize, x: &[T]) -> T {
+        let n = self.dims.num_rows;
+        let row = &self.matrix_of(i)[r * n..(r + 1) * n];
+        let mut acc = T::ZERO;
+        for (&a, &xc) in row.iter().zip(x) {
+            acc = a.mul_add(xc, acc);
+        }
+        acc
+    }
+
     /// Mutable slab of system `i`.
     #[inline]
     pub fn matrix_of_mut(&mut self, i: usize) -> &mut [T] {
@@ -110,16 +122,17 @@ impl<T: Scalar> BatchMatrix<T> for BatchDense<T> {
         self.dims.num_rows * self.dims.num_rows
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        let n = self.dims.num_rows;
-        let a = self.matrix_of(i);
-        for r in 0..n {
-            let row = &a[r * n..(r + 1) * n];
-            let mut acc = T::ZERO;
-            for c in 0..n {
-                acc = row[c].mul_add(x[c], acc);
-            }
-            y[r] = acc;
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = self.row_times(i, r, x);
+        }
+    }
+
+    #[inline(always)]
+    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = alpha * self.row_times(i, r, x) + beta * *yr;
         }
     }
 

@@ -192,6 +192,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchDia<T> {
         self.offsets.len() * self.dims.num_rows
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         let n = self.dims.num_rows;
         let ndiag = self.offsets.len();
@@ -237,6 +238,24 @@ impl<T: Scalar> BatchMatrix<T> for BatchDia<T> {
                     *yr = acc;
                 }
             }
+        }
+    }
+
+    #[inline(always)]
+    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
+        let n = self.dims.num_rows;
+        let ndiag = self.offsets.len();
+        let slab = self.values_of(i);
+        for (r, yr) in y.iter_mut().enumerate() {
+            // Ascending d from zero, as in both `spmv_system` layouts.
+            let mut acc = T::ZERO;
+            for (d, &off) in self.offsets.iter().enumerate() {
+                let c = r as i64 + off as i64;
+                if c >= 0 && (c as usize) < n {
+                    acc = slab[self.layout.index(n, ndiag, r, d)].mul_add(x[c as usize], acc);
+                }
+            }
+            *yr = alpha * acc + beta * *yr;
         }
     }
 

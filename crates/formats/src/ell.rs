@@ -240,6 +240,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
         self.width * self.dims.num_rows
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
@@ -282,11 +283,21 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
         }
     }
 
+    #[inline(always)]
     fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        let mut acc = vec![T::ZERO; y.len()];
-        self.spmv_system(i, x, &mut acc);
-        for (yr, &a) in y.iter_mut().zip(acc.iter()) {
-            *yr = alpha * a + beta * *yr;
+        let n = self.dims.num_rows;
+        let slab = self.values_of(i);
+        for (r, yr) in y.iter_mut().enumerate() {
+            // Ascending k from zero, as in both `spmv_system` layouts.
+            let mut acc = T::ZERO;
+            for k in 0..self.width {
+                let idx = self.layout.index(n, self.width, r, k);
+                let c = self.col_idxs[idx];
+                if c != ELL_PAD {
+                    acc = slab[idx].mul_add(x[c as usize], acc);
+                }
+            }
+            *yr = alpha * acc + beta * *yr;
         }
     }
 

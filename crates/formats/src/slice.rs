@@ -64,11 +64,13 @@ impl<T: Scalar, M: BatchMatrix<T> + ?Sized> BatchMatrix<T> for SystemSlice<'_, T
         self.inner.stored_per_system()
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(i, 0, "SystemSlice has exactly one system");
         self.inner.spmv_system(self.index, x, y);
     }
 
+    #[inline(always)]
     fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
         debug_assert_eq!(i, 0, "SystemSlice has exactly one system");
         self.inner

@@ -23,16 +23,10 @@ pub trait BatchMatrix<T: Scalar>: Send + Sync {
     /// `y = A_i x` for system `i`.
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]);
 
-    /// `y = alpha * A_i x + beta * y` for system `i`.
-    ///
-    /// Default implementation allocates; formats override with fused loops.
-    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        let mut tmp = vec![T::ZERO; y.len()];
-        self.spmv_system(i, x, &mut tmp);
-        for (yv, tv) in y.iter_mut().zip(tmp.iter()) {
-            *yv = alpha * *tv + beta * *yv;
-        }
-    }
+    /// `y = alpha * A_i x + beta * y` for system `i`, in one pass with no
+    /// temporary: each row of `A_i x` accumulates in the same order as in
+    /// [`BatchMatrix::spmv_system`] and is then combined with `y`.
+    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]);
 
     /// Write the diagonal of system `i` into `diag`.
     fn extract_diagonal(&self, i: usize, diag: &mut [T]);

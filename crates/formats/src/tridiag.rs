@@ -66,6 +66,20 @@ impl<T: Scalar> BatchTridiag<T> {
         &self.du[i * n..(i + 1) * n]
     }
 
+    /// Row `r` of `A_i x`: diagonal, then sub-, then super-diagonal term.
+    #[inline(always)]
+    fn row_times(&self, i: usize, r: usize, x: &[T]) -> T {
+        let n = self.dims.num_rows;
+        let mut acc = self.d_of(i)[r] * x[r];
+        if r > 0 {
+            acc = self.dl_of(i)[r].mul_add(x[r - 1], acc);
+        }
+        if r + 1 < n {
+            acc = self.du_of(i)[r].mul_add(x[r + 1], acc);
+        }
+        acc
+    }
+
     /// Copies of the three diagonals of system `i` (for in-place solvers).
     pub fn diagonals_owned(&self, i: usize) -> (Vec<T>, Vec<T>, Vec<T>) {
         (
@@ -102,18 +116,17 @@ impl<T: Scalar> BatchMatrix<T> for BatchTridiag<T> {
         3 * self.dims.num_rows
     }
 
+    #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        let n = self.dims.num_rows;
-        let (dl, d, du) = (self.dl_of(i), self.d_of(i), self.du_of(i));
-        for r in 0..n {
-            let mut acc = d[r] * x[r];
-            if r > 0 {
-                acc = dl[r].mul_add(x[r - 1], acc);
-            }
-            if r + 1 < n {
-                acc = du[r].mul_add(x[r + 1], acc);
-            }
-            y[r] = acc;
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = self.row_times(i, r, x);
+        }
+    }
+
+    #[inline(always)]
+    fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = alpha * self.row_times(i, r, x) + beta * *yr;
         }
     }
 

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use batsolv_formats::{
-    matrix_market, BatchBanded, BatchCsr, BatchDense, BatchEll, BatchMatrix, BatchVectors,
-    SparsityPattern,
+    matrix_market, BatchBanded, BatchCsr, BatchDense, BatchDia, BatchEll, BatchMatrix,
+    BatchTridiag, BatchVectors, SparsityPattern, ValueLayout,
 };
 use proptest::prelude::*;
 
@@ -116,21 +116,34 @@ proptest! {
     #[test]
     fn spmv_advanced_reduces_to_plain(m in stencil_batch()) {
         let n = m.dims().num_rows;
+        let ell = BatchEll::from_csr(&m).unwrap();
+        let ell_row = BatchEll::from_csr_in(&m, ValueLayout::RowMajor).unwrap();
+        let dia = BatchDia::from_csr(&m, 16).unwrap();
+        let dia_row = BatchDia::from_csr_in(&m, 16, ValueLayout::RowMajor).unwrap();
+        let banded = BatchBanded::from_csr(&m).unwrap();
+        let dense = BatchDense::from_csr(&m);
+        let tridiag = BatchTridiag::from_fn(m.dims(), |s, r| {
+            let lo = if r > 0 { m.entry(s, r, r - 1) } else { 0.0 };
+            let up = if r + 1 < n { m.entry(s, r, r + 1) } else { 0.0 };
+            (lo, m.entry(s, r, r), up)
+        });
+        let formats: [&dyn BatchMatrix<f64>; 8] =
+            [&m, &ell, &ell_row, &dia, &dia_row, &banded, &dense, &tridiag];
         let x: Vec<f64> = (0..n).map(|k| (k as f64 * 0.7).sin()).collect();
-        let mut plain = vec![0.0; n];
-        m.spmv_system(0, &x, &mut plain);
-        // alpha = 1, beta = 0 must equal the plain SpMV.
-        let mut adv = vec![9.0; n];
-        m.spmv_system_advanced(0, 1.0, &x, 0.0, &mut adv);
-        for k in 0..n {
-            prop_assert!((plain[k] - adv[k]).abs() < 1e-13);
-        }
-        // alpha = 2, beta = -1 against manual combination.
-        let mut y: Vec<f64> = (0..n).map(|k| k as f64 * 0.1).collect();
-        let expect: Vec<f64> = y.iter().zip(plain.iter()).map(|(yy, p)| 2.0 * p - yy).collect();
-        m.spmv_system_advanced(0, 2.0, &x, -1.0, &mut y);
-        for k in 0..n {
-            prop_assert!((y[k] - expect[k]).abs() < 1e-12);
+        for a in formats {
+            let name = a.format_name();
+            let mut plain = vec![0.0; n];
+            a.spmv_system(0, &x, &mut plain);
+            // alpha = 1, beta = 0 must equal the plain SpMV: each row
+            // accumulates in the same order on both paths.
+            let mut adv = vec![9.0; n];
+            a.spmv_system_advanced(0, 1.0, &x, 0.0, &mut adv);
+            prop_assert_eq!(&adv, &plain, "{}", name);
+            // alpha = 2, beta = -1 against the manual combination.
+            let mut y: Vec<f64> = (0..n).map(|k| k as f64 * 0.1).collect();
+            let expect: Vec<f64> = y.iter().zip(plain.iter()).map(|(yy, p)| 2.0 * p - yy).collect();
+            a.spmv_system_advanced(0, 2.0, &x, -1.0, &mut y);
+            prop_assert_eq!(&y, &expect, "{}", name);
         }
     }
 

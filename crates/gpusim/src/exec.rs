@@ -4,8 +4,41 @@
 //! one closure invocation per "thread block" (batch system), executed on
 //! the host's cores via rayon. Only *time* comes from the model; values
 //! are bit-exact regardless of which simulated device is selected.
+//!
+//! Every block runs through [`on_block`], the one place the host picks
+//! its code generation: on an x86-64 CPU with FMA the block body runs in
+//! a frame compiled with that feature, so `mul_add` becomes one
+//! instruction instead of a call into libm. The frame only reaches code
+//! inlined into it, which is why every kernel a block closure calls is
+//! `#[inline(always)]`. `mul_add` is correctly rounded either way, and
+//! Rust never contracts a separate `*` and `+`, so results are bitwise
+//! identical on both paths.
 
 use rayon::prelude::*;
+
+/// Run one block's body, in an FMA-enabled frame when the CPU has FMA.
+#[inline(always)]
+fn on_block<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("fma") {
+        // SAFETY: `with_fma`'s only requirement is that the CPU supports
+        // FMA, which the run-time check above just confirmed.
+        return unsafe { with_fma(f) };
+    }
+    f()
+}
+
+/// Call `f` in a frame compiled with FMA enabled; code that LLVM inlines
+/// into it is compiled with the feature too.
+///
+/// # Safety
+///
+/// The CPU executing the call must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn with_fma<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
 
 /// Run `f(block_index)` for every block of the grid in parallel and
 /// collect the results in block order.
@@ -18,7 +51,15 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync + Send,
 {
-    (0..num_blocks).into_par_iter().map(f).collect()
+    (0..num_blocks)
+        .into_par_iter()
+        .map(|i| {
+            on_block(
+                #[inline(always)]
+                || f(i),
+            )
+        })
+        .collect()
 }
 
 /// Run `f(block_index, chunk)` over disjoint mutable chunks (e.g. the
@@ -28,10 +69,12 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync + Send,
 {
-    chunks
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(i, chunk)| f(i, chunk));
+    chunks.into_par_iter().enumerate().for_each(|(i, chunk)| {
+        on_block(
+            #[inline(always)]
+            || f(i, chunk),
+        )
+    });
 }
 
 /// Like [`run_batch_mut`] but collects a per-block result — the shape the
@@ -46,7 +89,12 @@ where
     chunks
         .into_par_iter()
         .enumerate()
-        .map(|(i, chunk)| f(i, chunk))
+        .map(|(i, chunk)| {
+            on_block(
+                #[inline(always)]
+                || f(i, chunk),
+            )
+        })
         .collect()
 }
 

@@ -155,22 +155,26 @@ where
         let stop = &self.stop;
         let max_iters = self.max_iters;
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        Ok(run_batch_map_mut(chunks, |i, xi| {
-            let mut logger = make_logger(i);
-            let x0 = xi.to_vec();
-            let r = bicgstab_block(
-                a,
-                i,
-                b.system(i),
-                xi,
-                precond,
-                stop,
-                max_iters,
-                self.fused_axpy,
-                &mut logger,
-            );
-            sanitize_block_result(&x0, xi, r)
-        }))
+        Ok(run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let mut logger = make_logger(i);
+                let x0 = xi.to_vec();
+                let r = bicgstab_block(
+                    a,
+                    i,
+                    b.system(i),
+                    xi,
+                    precond,
+                    stop,
+                    max_iters,
+                    self.fused_axpy,
+                    &mut logger,
+                );
+                sanitize_block_result(&x0, xi, r)
+            },
+        ))
     }
 
     /// Pricing phase only: assemble per-block costs for the given
@@ -279,6 +283,7 @@ where
 /// This is deliberately a single free function operating on slices — the
 /// direct analogue of the device function a GPU thread block executes.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn bicgstab_block<T, M, P, S, L>(
     a: &M,
     i: usize,

@@ -102,11 +102,15 @@ where
         let max_iters = self.max_iters;
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
         let fused = self.fused_axpy;
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = cg_block(a, i, b.system(i), xi, precond, stop, max_iters, fused);
-            sanitize_block_result(&x0, xi, r)
-        });
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let x0 = xi.to_vec();
+                let r = cg_block(a, i, b.system(i), xi, precond, stop, max_iters, fused);
+                sanitize_block_result(&x0, xi, r)
+            },
+        );
 
         let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
         // One preconditioner apply per iteration plus one at setup: a
@@ -182,7 +186,8 @@ where
 
 /// Per-block preconditioned CG kernel.
 #[allow(clippy::too_many_arguments)]
-fn cg_block<T, M, P, S>(
+#[inline(always)]
+pub(crate) fn cg_block<T, M, P, S>(
     a: &M,
     i: usize,
     b: &[T],

@@ -33,41 +33,45 @@ impl BatchCyclicReduction {
         let n = dims.num_rows;
 
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let sys = match cr_solve(a.dl_of(i), a.d_of(i), a.du_of(i), b.system(i)) {
-                Ok(sol) => {
-                    xi.copy_from_slice(&sol);
-                    let mut r = vec![T::ZERO; n];
-                    a.spmv_system(i, xi, &mut r);
-                    let res = b
-                        .system(i)
-                        .iter()
-                        .zip(r.iter())
-                        .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
-                        .fold(T::ZERO, |acc, v| acc + v)
-                        .sqrt()
-                        .to_f64();
-                    SystemResult {
-                        iterations: 1,
-                        residual: res,
-                        converged: res.is_finite(),
-                        breakdown: if res.is_finite() {
-                            None
-                        } else {
-                            Some("nonfinite")
-                        },
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let x0 = xi.to_vec();
+                let sys = match cr_solve(a.dl_of(i), a.d_of(i), a.du_of(i), b.system(i)) {
+                    Ok(sol) => {
+                        xi.copy_from_slice(&sol);
+                        let mut r = vec![T::ZERO; n];
+                        a.spmv_system(i, xi, &mut r);
+                        let res = b
+                            .system(i)
+                            .iter()
+                            .zip(r.iter())
+                            .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
+                            .fold(T::ZERO, |acc, v| acc + v)
+                            .sqrt()
+                            .to_f64();
+                        SystemResult {
+                            iterations: 1,
+                            residual: res,
+                            converged: res.is_finite(),
+                            breakdown: if res.is_finite() {
+                                None
+                            } else {
+                                Some("nonfinite")
+                            },
+                        }
                     }
-                }
-                Err(_) => SystemResult {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                    converged: false,
-                    breakdown: Some("zero pivot"),
-                },
-            };
-            sanitize_block_result(&x0, xi, sys)
-        });
+                    Err(_) => SystemResult {
+                        iterations: 0,
+                        residual: f64::INFINITY,
+                        converged: false,
+                        breakdown: Some("zero pivot"),
+                    },
+                };
+                sanitize_block_result(&x0, xi, sys)
+            },
+        );
 
         let stats = block_stats::<T>(device, n);
         let blocks = vec![stats; dims.num_systems];

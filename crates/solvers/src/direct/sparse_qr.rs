@@ -36,42 +36,46 @@ impl BatchSparseQr {
         let (kl, ku, ldab) = (a.kl(), a.ku(), a.ldab());
 
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            xi.copy_from_slice(b.system(i));
-            let mut ab = a.ab_of(i).to_vec();
-            let sys = match givens_qr_solve(n, kl, ku, ldab, &mut ab, xi) {
-                Ok(()) => {
-                    let mut r = vec![T::ZERO; n];
-                    a.spmv_system(i, xi, &mut r);
-                    let res = b
-                        .system(i)
-                        .iter()
-                        .zip(r.iter())
-                        .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
-                        .fold(T::ZERO, |acc, v| acc + v)
-                        .sqrt()
-                        .to_f64();
-                    SystemResult {
-                        iterations: 1,
-                        residual: res,
-                        converged: res.is_finite(),
-                        breakdown: if res.is_finite() {
-                            None
-                        } else {
-                            Some("nonfinite")
-                        },
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let x0 = xi.to_vec();
+                xi.copy_from_slice(b.system(i));
+                let mut ab = a.ab_of(i).to_vec();
+                let sys = match givens_qr_solve(n, kl, ku, ldab, &mut ab, xi) {
+                    Ok(()) => {
+                        let mut r = vec![T::ZERO; n];
+                        a.spmv_system(i, xi, &mut r);
+                        let res = b
+                            .system(i)
+                            .iter()
+                            .zip(r.iter())
+                            .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
+                            .fold(T::ZERO, |acc, v| acc + v)
+                            .sqrt()
+                            .to_f64();
+                        SystemResult {
+                            iterations: 1,
+                            residual: res,
+                            converged: res.is_finite(),
+                            breakdown: if res.is_finite() {
+                                None
+                            } else {
+                                Some("nonfinite")
+                            },
+                        }
                     }
-                }
-                Err(_) => SystemResult {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                    converged: false,
-                    breakdown: Some("singular"),
-                },
-            };
-            sanitize_block_result(&x0, xi, sys)
-        });
+                    Err(_) => SystemResult {
+                        iterations: 0,
+                        residual: f64::INFINITY,
+                        converged: false,
+                        breakdown: Some("singular"),
+                    },
+                };
+                sanitize_block_result(&x0, xi, sys)
+            },
+        );
 
         let stats = block_stats::<T>(device, n, kl, ku, ldab);
         let blocks = vec![stats; dims.num_systems];

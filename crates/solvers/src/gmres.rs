@@ -112,22 +112,26 @@ where
         let (precond, stop, m, max_iters) =
             (&self.precond, &self.stop, self.restart, self.max_iters);
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let mut logger = make_logger(i);
-            let x0 = xi.to_vec();
-            let r = gmres_block(
-                a,
-                i,
-                b.system(i),
-                xi,
-                precond,
-                stop,
-                m,
-                max_iters,
-                &mut logger,
-            );
-            sanitize_block_result(&x0, xi, r)
-        });
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let mut logger = make_logger(i);
+                let x0 = xi.to_vec();
+                let r = gmres_block(
+                    a,
+                    i,
+                    b.system(i),
+                    xi,
+                    precond,
+                    stop,
+                    m,
+                    max_iters,
+                    &mut logger,
+                );
+                sanitize_block_result(&x0, xi, r)
+            },
+        );
 
         let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
         // Modified Gram–Schmidt is inherently sequential: the j-th inner
@@ -213,7 +217,8 @@ where
 
 /// Per-block right-preconditioned restarted GMRES kernel.
 #[allow(clippy::too_many_arguments)]
-fn gmres_block<T, M, P, S, L>(
+#[inline(always)]
+pub(crate) fn gmres_block<T, M, P, S, L>(
     a: &M,
     i: usize,
     b: &[T],

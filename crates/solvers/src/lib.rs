@@ -30,6 +30,8 @@ pub mod api;
 pub mod bicgstab;
 pub mod cg;
 pub mod cgs;
+#[cfg(test)]
+mod codegen_differential;
 pub mod common;
 pub mod direct;
 pub mod gmres;

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use batsolv_formats::{BatchCsr, BatchMatrix, BatchVectors, SparsityPattern};
-use batsolv_gpusim::{DeviceSpec, KernelReport};
+use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, KernelReport};
 use batsolv_types::{BatchDims, Result, Scalar};
 
 use crate::bicgstab::bicgstab_block;
@@ -93,20 +93,27 @@ where
         let big = assemble_block_diagonal(a)?;
         let big_dims = BatchDims::new(1, ns * n)?;
         let b_flat = BatchVectors::from_values(big_dims, b.values().to_vec())?;
-        let mut logger = NoopLogger;
-        let x0 = x.values().to_vec();
-        let result = bicgstab_block(
-            &big,
-            0,
-            b_flat.system(0),
-            x.values_mut(),
-            &self.precond,
-            &self.stop,
-            self.max_iters,
-            false,
-            &mut logger,
-        );
-        let result = sanitize_block_result(&x0, x.values_mut(), result);
+        // The one big system is a single block of the executor, so it runs
+        // with the same host code generation as the batched kernels.
+        let result = run_batch_map_mut(
+            vec![x.values_mut()],
+            #[inline(always)]
+            |_, xv| {
+                let x0 = xv.to_vec();
+                let r = bicgstab_block(
+                    &big,
+                    0,
+                    b_flat.system(0),
+                    xv,
+                    &self.precond,
+                    &self.stop,
+                    self.max_iters,
+                    false,
+                    &mut NoopLogger,
+                );
+                sanitize_block_result(&x0, xv, r)
+            },
+        )[0];
 
         // Every system pays the global iteration count — the paper's
         // first objection to the monolithic design.

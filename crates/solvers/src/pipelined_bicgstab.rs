@@ -133,21 +133,25 @@ where
         let stop = &self.stop;
         let max_iters = self.max_iters;
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        Ok(run_batch_map_mut(chunks, |i, xi| {
-            let mut logger = make_logger(i);
-            let x0 = xi.to_vec();
-            let r = pipelined_bicgstab_block(
-                a,
-                i,
-                b.system(i),
-                xi,
-                precond,
-                stop,
-                max_iters,
-                &mut logger,
-            );
-            sanitize_block_result(&x0, xi, r)
-        }))
+        Ok(run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let mut logger = make_logger(i);
+                let x0 = xi.to_vec();
+                let r = pipelined_bicgstab_block(
+                    a,
+                    i,
+                    b.system(i),
+                    xi,
+                    precond,
+                    stop,
+                    max_iters,
+                    &mut logger,
+                );
+                sanitize_block_result(&x0, xi, r)
+            },
+        ))
     }
 
     /// Pricing phase only (see [`BatchBicgstab::price_results`]).
@@ -248,6 +252,7 @@ where
 
 /// The per-block pipelined BiCGSTAB kernel: solves `A_i x = b` in place.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn pipelined_bicgstab_block<T, M, P, S, L>(
     a: &M,
     i: usize,

@@ -93,11 +93,15 @@ where
 
         let (precond, stop, max_iters) = (&self.precond, &self.stop, self.max_iters);
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = pipelined_cg_block(a, i, b.system(i), xi, precond, stop, max_iters);
-            sanitize_block_result(&x0, xi, r)
-        });
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let x0 = xi.to_vec();
+                let r = pipelined_cg_block(a, i, b.system(i), xi, precond, stop, max_iters);
+                sanitize_block_result(&x0, xi, r)
+            },
+        );
 
         let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
         // One preconditioner apply per iteration plus one at setup.
@@ -181,7 +185,8 @@ where
 }
 
 /// Per-block pipelined CG kernel (Ghysels–Vanroose recurrences).
-fn pipelined_cg_block<T, M, P, S>(
+#[inline(always)]
+pub(crate) fn pipelined_cg_block<T, M, P, S>(
     a: &M,
     i: usize,
     b: &[T],

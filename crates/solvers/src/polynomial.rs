@@ -51,6 +51,7 @@ pub struct NeumannState<T> {
 
 impl<T: Scalar> NeumannState<T> {
     /// `y = A x` against the cached rows.
+    #[inline(always)]
     fn spmv(&self, x: &[T], y: &mut [T]) {
         for r in 0..self.n {
             let (b, e) = (self.row_ptrs[r] as usize, self.row_ptrs[r + 1] as usize);
@@ -105,6 +106,7 @@ impl<T: Scalar> Preconditioner<T> for NeumannPolynomial {
         })
     }
 
+    #[inline(always)]
     fn apply(&self, state: &NeumannState<T>, input: &[T], output: &mut [T]) {
         let n = state.n;
         // z_0 = D⁻¹ r; z_{k+1} = z_k + D⁻¹ (r − A z_k); output = z_degree.

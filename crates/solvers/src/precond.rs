@@ -71,7 +71,7 @@ impl<T: Scalar> Preconditioner<T> for Identity {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply(&self, _state: &(), input: &[T], output: &mut [T]) {
         output.copy_from_slice(input);
     }
@@ -111,7 +111,7 @@ impl<T: Scalar> Preconditioner<T> for Jacobi {
         Ok(diag)
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply(&self, inv_diag: &Vec<T>, input: &[T], output: &mut [T]) {
         blas::mul_elementwise(input, inv_diag, output);
     }
@@ -189,6 +189,7 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi {
         })
     }
 
+    #[inline(always)]
     fn apply(&self, state: &BlockJacobiState<T>, input: &[T], output: &mut [T]) {
         for &(row0, size, off) in &state.offsets {
             let blk = &state.inv_blocks[off..off + size * size];
@@ -388,6 +389,7 @@ impl<T: Scalar> Preconditioner<T> for Ilu0 {
     /// still computes **bitwise** the same floats as the naive row order
     /// ([`Ilu0::apply_naive`]) — every row's arithmetic reads only
     /// already-final values from earlier levels.
+    #[inline(always)]
     fn apply(&self, state: &Ilu0State<T>, input: &[T], output: &mut [T]) {
         let p = &state.pattern;
         // Forward solve L y = input (unit diagonal), by lower level.

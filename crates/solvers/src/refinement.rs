@@ -125,11 +125,15 @@ impl MixedPrecisionBicgstab {
             let mut r64 = BatchVectors::<f64>::zeros(dims);
             {
                 let chunks: Vec<&mut [f64]> = r64.systems_mut().collect();
-                let _ = run_batch_map_mut(chunks, |i, ri| {
-                    a.spmv_system(i, x.system(i), ri);
-                    blas::sub_from(b.system(i), ri);
-                    0u8
-                });
+                let _ = run_batch_map_mut(
+                    chunks,
+                    #[inline(always)]
+                    |i, ri| {
+                        a.spmv_system(i, x.system(i), ri);
+                        blas::sub_from(b.system(i), ri);
+                        0u8
+                    },
+                );
             }
             let mut all_done = true;
             for i in 0..ns {

@@ -87,11 +87,15 @@ where
         let (precond, stop, omega, max_iters) =
             (&self.precond, &self.stop, self.omega, self.max_iters);
         let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = richardson_block(a, i, b.system(i), xi, precond, stop, omega, max_iters);
-            sanitize_block_result(&x0, xi, r)
-        });
+        let results: Vec<SystemResult> = run_batch_map_mut(
+            chunks,
+            #[inline(always)]
+            |i, xi| {
+                let x0 = xi.to_vec();
+                let r = richardson_block(a, i, b.system(i), xi, precond, stop, omega, max_iters);
+                sanitize_block_result(&x0, xi, r)
+            },
+        );
 
         let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
         // One preconditioner apply per iteration (the M⁻¹r correction).
@@ -153,7 +157,8 @@ where
 
 /// Per-block Richardson kernel.
 #[allow(clippy::too_many_arguments)]
-fn richardson_block<T, M, P, S>(
+#[inline(always)]
+pub(crate) fn richardson_block<T, M, P, S>(
     a: &M,
     i: usize,
     b: &[T],
