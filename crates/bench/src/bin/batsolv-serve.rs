@@ -55,7 +55,8 @@
 //! ```
 //!
 //! `--solver` picks the fused solver variant carrying rung 1 of the
-//! escalation ladder; the chosen variant and its cumulative simulated
+//! escalation ladder (on every GPU shard in fleet mode, whose default
+//! stays the fused `bicgstab-fused`); the chosen variant and its cumulative simulated
 //! sync count surface in the stats page (`batsolv_solver_info`,
 //! `batsolv_sim_syncs_total`). `--precond` picks the batched
 //! preconditioner under the iterative rungs (`batsolv_precond_info`);
@@ -94,7 +95,9 @@ struct Args {
     queue: usize,
     quick: bool,
     compare: bool,
-    solver: SolverVariant,
+    /// Rung-1 variant; `None` keeps each mode's default (the classic
+    /// service's `bicgstab`, the fleet's fused `bicgstab-fused`).
+    solver: Option<SolverVariant>,
     /// Preconditioner under the iterative ladder rungs (single-service
     /// and fleet GPU shards; the CPU spill pool stays unpreconditioned).
     precond: PrecondVariant,
@@ -134,7 +137,7 @@ impl Args {
             queue: 1024,
             quick: false,
             compare: false,
-            solver: SolverVariant::default(),
+            solver: None,
             precond: PrecondVariant::default(),
             autotune: false,
             autotune_window: 32,
@@ -175,10 +178,10 @@ impl Args {
                 "--compare" => out.compare = true,
                 "--solver" => {
                     let name = args.next().unwrap_or_default();
-                    out.solver = SolverVariant::parse(&name).unwrap_or_else(|| {
+                    out.solver = Some(SolverVariant::parse(&name).unwrap_or_else(|| {
                         eprintln!("--solver needs one of: {}", SolverVariant::NAMES.join(", "));
                         std::process::exit(2);
-                    })
+                    }))
                 }
                 "--precond" => {
                     let name = args.next().unwrap_or_default();
@@ -293,7 +296,7 @@ fn drive(
         .with_batch_target(target)
         .with_linger(Duration::from_micros(args.linger_us))
         .with_queue_capacity(args.queue)
-        .with_solver(args.solver)
+        .with_solver(args.solver.unwrap_or_default())
         .with_precond(args.precond)
         .with_autotune(args.autotune.then(|| AutoTunerConfig {
             window: args.autotune_window,
@@ -402,8 +405,12 @@ fn drive_fleet(
         .with_retry(retry)
         .with_hedge(hedge)
         .with_tracer(tracer);
-    // GPU shards run their ladders under the chosen preconditioner; the
-    // CPU spill pool stays on the unpreconditioned banded-LU baseline.
+    // GPU shards run their ladders under the chosen solver variant and
+    // preconditioner; the CPU spill pool stays on the unpreconditioned
+    // banded-LU baseline.
+    if let Some(solver) = args.solver {
+        config.ladder.solver = solver;
+    }
     config.ladder.precond = args.precond;
     let service = Arc::new(
         FleetService::start(Arc::clone(workload.pattern()), config).expect("fleet failed to start"),

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use batsolv_gpusim::DeviceSpec;
-use batsolv_runtime::{BreakerConfig, LadderConfig, PrecondVariant, SolverVariant};
+use batsolv_runtime::{BreakerConfig, LadderConfig, SolverVariant};
 use batsolv_trace::Tracer;
 use batsolv_types::{Error, Result};
 
@@ -278,14 +278,8 @@ impl FleetConfig {
             steal: true,
             steal_seed: 0x5eed_f1ee,
             ladder: LadderConfig {
-                default_tolerance: 1e-10,
-                max_iters: 500,
-                enable_gmres: true,
-                gmres_restart: 30,
-                gmres_max_iters: 300,
-                enable_fallback: true,
                 solver: SolverVariant::BicgstabFused,
-                precond: PrecondVariant::Jacobi,
+                ..LadderConfig::default()
             },
             breaker: BreakerConfig::default(),
             cpu_workers: DEFAULT_CPU_WORKERS,
@@ -389,6 +383,7 @@ impl FleetConfig {
         if self.cpu_workers == 0 {
             return Err(Error::InvalidConfig("cpu_workers must be >= 1".into()));
         }
+        self.ladder.validate().map_err(Error::InvalidConfig)?;
         if self.retry.max_attempts == 0 {
             return Err(Error::InvalidConfig(
                 "retry.max_attempts must be >= 1 (1 means retries off)".into(),

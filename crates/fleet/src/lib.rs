@@ -71,7 +71,6 @@ pub mod metrics;
 pub mod range;
 pub mod service;
 mod shard;
-mod spill;
 pub mod stats;
 mod work;
 

@@ -29,7 +29,6 @@ use crate::degrade::DegradeState;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
 use crate::shard::{spawn_shard_worker, ChunkQueue, ShardShared, ShardStats, WorkerCtx};
-use crate::spill::CpuLuEngine;
 use crate::stats::{percentile_us, snapshot_shard, FleetSnapshot};
 use crate::work::{Chunk, GroupProgress, GroupTicket, OutcomeSlot, Pending};
 
@@ -159,17 +158,16 @@ impl FleetService {
                 is_spill: false,
             }));
         }
-        // The CPU pool is one more worker over the same machinery: a
-        // banded-LU engine instead of the ladder, and it never steals
+        // The CPU pool is one more worker over the same machinery: the
+        // same engine cut down to its banded-LU rung, and it never steals
         // (GPU backlogs would defeat the size cutoff that routed work
         // away from it) and never hedges (its chunks are the small spill
         // tail, not fused straggler candidates).
-        let cpu_engine: Arc<dyn SolveEngine> = Arc::new(CpuLuEngine::new(
-            Arc::clone(&pattern),
-            cfg.cpu_workers,
-            range.cpu_shard(),
-            cfg.tracer.clone(),
-        ));
+        let cpu_engine: Arc<dyn SolveEngine> = Arc::new(
+            LadderEngine::cpu_pool(Arc::clone(&pattern), cfg.cpu_workers)
+                .with_tracer(cfg.tracer.clone())
+                .with_shard(range.cpu_shard()),
+        );
         workers.push(spawn_shard_worker(WorkerCtx {
             shard: Arc::clone(&cpu),
             peers: Arc::clone(&shards),
@@ -245,31 +243,9 @@ impl FleetService {
             });
         }
         for r in &requests {
-            if r.values.len() != self.nnz {
+            if let Err(e) = r.check(self.nnz, self.n) {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::ShapeMismatch {
-                    field: "values",
-                    expected: self.nnz,
-                    got: r.values.len(),
-                });
-            }
-            if r.rhs.len() != self.n {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::ShapeMismatch {
-                    field: "rhs",
-                    expected: self.n,
-                    got: r.rhs.len(),
-                });
-            }
-            if let Some(g) = &r.guess {
-                if g.len() != self.n {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::ShapeMismatch {
-                        field: "guess",
-                        expected: self.n,
-                        got: g.len(),
-                    });
-                }
+                return Err(e);
             }
         }
 

@@ -209,3 +209,70 @@ fn cpu_spill_stays_unpreconditioned_banded_lu_under_an_ilu0_ladder() {
     assert_eq!(snap.completed(), 21);
     assert_eq!(snap.failed(), 0);
 }
+
+/// A ladder with which every chunk would fail or panic is refused at
+/// start, the same checks `RuntimeConfig::validate` applies.
+#[test]
+fn start_rejects_a_ladder_that_fails_every_chunk() {
+    use batsolv_runtime::{LadderConfig, PrecondVariant};
+    use batsolv_types::Error;
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    let cases: [(&str, fn(&mut LadderConfig)); 7] = [
+        ("block-jacobi:0", |l| {
+            l.precond = PrecondVariant::BlockJacobi(0)
+        }),
+        ("gmres_restart 0", |l| l.gmres_restart = 0),
+        ("gmres_max_iters 0", |l| l.gmres_max_iters = 0),
+        ("max_iters 0", |l| l.max_iters = 0),
+        ("tolerance 0", |l| l.default_tolerance = 0.0),
+        ("tolerance < 0", |l| l.default_tolerance = -1e-10),
+        ("tolerance NaN", |l| l.default_tolerance = f64::NAN),
+    ];
+    for (what, spoil) in cases {
+        let mut cfg = FleetConfig::new(2);
+        spoil(&mut cfg.ladder);
+        match FleetService::start(Arc::clone(&pattern), cfg) {
+            Err(Error::InvalidConfig(_)) => {}
+            Err(e) => panic!("{what}: expected InvalidConfig, got {e:?}"),
+            Ok(_) => panic!("{what}: start accepted a ladder that fails every chunk"),
+        }
+    }
+}
+
+/// One request with a tolerance that is not finite and positive would
+/// set the stopping criterion of every chunk it shares. Its whole group
+/// is refused at submission; the same group without it solves on rung 1.
+#[test]
+fn bad_tolerance_rejects_its_group_and_batchmates_stay_on_rung_one() {
+    use batsolv_runtime::{RejectReason, SolveMethod};
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(6, 6, false));
+    let cfg = FleetConfig::new(2)
+        .with_min_batch_size(4)
+        .with_max_batch_size(16);
+    let service = FleetService::start(Arc::clone(&pattern), cfg).unwrap();
+    for tol in [0.0, -1e-8, f64::NAN, f64::INFINITY] {
+        let mut poisoned = group(&pattern, 8);
+        poisoned[3].tolerance = Some(tol);
+        match service.submit_group(poisoned, None) {
+            Err(SubmitError::Rejected {
+                reason: RejectReason::BadTolerance { .. },
+            }) => {}
+            other => panic!("tolerance {tol}: expected BadTolerance, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        service.snapshot().accepted,
+        0,
+        "nothing of a refused group queues"
+    );
+
+    let ticket = service.submit_group(group(&pattern, 8), None).unwrap();
+    for outcome in ticket.wait_all() {
+        let sol = outcome.unwrap();
+        assert_eq!(sol.method, SolveMethod::Bicgstab);
+        assert_eq!(sol.rungs.len(), 1, "batchmates stay on rung 1");
+    }
+    service.shutdown();
+}

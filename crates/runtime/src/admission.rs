@@ -14,7 +14,8 @@
 
 use batsolv_formats::SparsityPattern;
 
-/// Why the admission gate refused a request.
+/// Why admission refused a request: the gate's payload checks, or
+/// [`crate::SolveRequest::check`]'s tolerance check.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RejectReason {
     /// A payload entry is NaN or infinite.
@@ -34,6 +35,13 @@ pub enum RejectReason {
         /// diagonal entry in this row).
         value: f64,
     },
+    /// A per-request tolerance is NaN, infinite, or not positive. A
+    /// fused launch stops at its strictest member's tolerance, so one
+    /// such request would drag every batchmate through the whole ladder.
+    BadTolerance {
+        /// The tolerance the request carried.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -47,6 +55,9 @@ impl std::fmt::Display for RejectReason {
                     f,
                     "diagonal of row {row} is {value:e}, unusable as a Jacobi pivot"
                 )
+            }
+            RejectReason::BadTolerance { value } => {
+                write!(f, "tolerance {value:e} is not a finite positive number")
             }
         }
     }

@@ -7,7 +7,7 @@ use batsolv_trace::Tracer;
 
 use crate::autotune::AutoTunerConfig;
 use crate::breaker::BreakerConfig;
-use crate::dispatcher::{PrecondVariant, SolverVariant};
+use crate::dispatcher::{LadderConfig, PrecondVariant, SolverVariant};
 
 /// Tuning knobs of the solve service.
 ///
@@ -29,31 +29,13 @@ pub struct RuntimeConfig {
     /// Flush trigger 2: cut a batch (of whatever size) once the oldest
     /// pending request has waited this long.
     pub linger: Duration,
-    /// Absolute residual tolerance used when a request does not carry its
-    /// own (the paper's production tolerance).
-    pub tolerance: f64,
-    /// Iteration cap of the iterative solver; systems still unconverged
-    /// at the cap climb the escalation ladder.
-    pub max_iters: usize,
-    /// Which fused solver variant carries rung 1 of the ladder.
-    pub solver: SolverVariant,
-    /// Which preconditioner the iterative ladder rungs run under (the
-    /// direct rung and the fleet's CPU spill stay unpreconditioned).
-    pub precond: PrecondVariant,
+    /// The escalation ladder: tolerance, iteration caps, the rung-1
+    /// solver variant, the preconditioner of the iterative rungs, and
+    /// which escalation rungs run.
+    pub ladder: LadderConfig,
     /// Telemetry-driven solver × preconditioner recommendation engine;
     /// `None` disables it.
     pub autotune: Option<AutoTunerConfig>,
-    /// Whether BiCGSTAB stragglers are retried with restarted GMRES
-    /// (rung 2 of the escalation ladder).
-    pub enable_gmres: bool,
-    /// GMRES restart length.
-    pub gmres_restart: usize,
-    /// GMRES total-iteration cap.
-    pub gmres_max_iters: usize,
-    /// Whether still-unconverged systems are retried with the banded-LU
-    /// direct solver (the `dgbsv` baseline, last rung) before being
-    /// reported failed.
-    pub enable_fallback: bool,
     /// Whether the admission gate validates payloads (finiteness, usable
     /// Jacobi diagonal) at submission. Disable only in chaos tests that
     /// deliberately feed poisoned systems to the ladder.
@@ -80,15 +62,8 @@ impl RuntimeConfig {
             queue_capacity: 1024,
             batch_target: 128,
             linger: Duration::from_millis(2),
-            tolerance: 1e-10,
-            max_iters: 500,
-            solver: SolverVariant::Bicgstab,
-            precond: PrecondVariant::Jacobi,
+            ladder: LadderConfig::default(),
             autotune: None,
-            enable_gmres: true,
-            gmres_restart: 30,
-            gmres_max_iters: 300,
-            enable_fallback: true,
             validate_admission: true,
             min_diag_abs: 0.0,
             watchdog_budget: Some(Duration::from_secs(30)),
@@ -117,25 +92,25 @@ impl RuntimeConfig {
 
     /// Override the default tolerance.
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
+        self.ladder.default_tolerance = tolerance;
         self
     }
 
     /// Override the iteration cap.
     pub fn with_max_iters(mut self, max_iters: usize) -> Self {
-        self.max_iters = max_iters;
+        self.ladder.max_iters = max_iters;
         self
     }
 
     /// Override the rung-1 solver variant.
     pub fn with_solver(mut self, solver: SolverVariant) -> Self {
-        self.solver = solver;
+        self.ladder.solver = solver;
         self
     }
 
     /// Override the ladder preconditioner.
     pub fn with_precond(mut self, precond: PrecondVariant) -> Self {
-        self.precond = precond;
+        self.ladder.precond = precond;
         self
     }
 
@@ -147,20 +122,20 @@ impl RuntimeConfig {
 
     /// Enable or disable the direct fallback.
     pub fn with_fallback(mut self, enabled: bool) -> Self {
-        self.enable_fallback = enabled;
+        self.ladder.enable_fallback = enabled;
         self
     }
 
     /// Enable or disable the GMRES escalation rung.
     pub fn with_gmres(mut self, enabled: bool) -> Self {
-        self.enable_gmres = enabled;
+        self.ladder.enable_gmres = enabled;
         self
     }
 
     /// Override the GMRES restart length and iteration cap.
     pub fn with_gmres_limits(mut self, restart: usize, max_iters: usize) -> Self {
-        self.gmres_restart = restart;
-        self.gmres_max_iters = max_iters;
+        self.ladder.gmres_restart = restart;
+        self.ladder.gmres_max_iters = max_iters;
         self
     }
 
@@ -203,21 +178,7 @@ impl RuntimeConfig {
         if self.batch_target == 0 {
             return Err("batch_target must be at least 1".into());
         }
-        if self.tolerance.is_nan() || self.tolerance <= 0.0 {
-            return Err(format!(
-                "tolerance must be positive, got {}",
-                self.tolerance
-            ));
-        }
-        if self.max_iters == 0 {
-            return Err("max_iters must be at least 1".into());
-        }
-        if self.enable_gmres && (self.gmres_restart == 0 || self.gmres_max_iters == 0) {
-            return Err("gmres_restart and gmres_max_iters must be at least 1".into());
-        }
-        if self.precond == PrecondVariant::BlockJacobi(0) {
-            return Err("block-jacobi block size must be at least 1".into());
-        }
+        self.ladder.validate()?;
         if let Some(a) = &self.autotune {
             if a.window == 0 {
                 return Err("autotune window must be at least 1".into());
@@ -260,9 +221,9 @@ mod tests {
         assert_eq!(c.queue_capacity, 8);
         assert_eq!(c.batch_target, 4);
         assert_eq!(c.linger, Duration::from_micros(500));
-        assert_eq!(c.tolerance, 1e-8);
-        assert_eq!(c.max_iters, 50);
-        assert!(!c.enable_fallback);
+        assert_eq!(c.ladder.default_tolerance, 1e-8);
+        assert_eq!(c.ladder.max_iters, 50);
+        assert!(!c.ladder.enable_fallback);
         assert!(c.validate().is_ok());
     }
 

@@ -6,29 +6,28 @@
 //! batched BiCGSTAB, escalated per-system through restarted GMRES and
 //! finally the banded-LU (`dgbsv`) direct baseline. Each rung only
 //! reprocesses the systems the previous rung left behind, so a healthy
-//! batch pays exactly one BiCGSTAB launch.
+//! batch pays exactly one BiCGSTAB launch. All rungs run through one
+//! generic loop; the fleet's CPU spill pool is the same engine with the
+//! banded-LU rung alone ([`LadderEngine::cpu_pool`]).
 //!
 //! The engine consults a [`LaunchHook`] immediately before the fused
 //! launch — the chaos seam: a hook can fail the launch like a device
 //! error, stall it, or panic the worker (see `batsolv-faults`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use batsolv_formats::{BatchBanded, BatchCsr, BatchVectors, SparsityPattern};
-use batsolv_gpusim::{
-    kernel_launch_event, reduction_event, sync_point_event, transfer_event, DeviceSpec, Direction,
-    LaunchDisruption, LaunchHook, NoDisruption,
-};
+use batsolv_gpusim::{DeviceSpec, Direction, LaunchHook, NoDisruption};
 use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_solvers::{
     AbsResidual, BatchBicgstab, BatchCg, BatchGmres, BatchSolveReport, BlockJacobi, Identity, Ilu0,
-    Jacobi, PipelinedBicgstab, PipelinedCg, Preconditioner, TraceLogger,
+    IterationLogger, Jacobi, NoopLogger, PipelinedBicgstab, PipelinedCg, Preconditioner,
+    TraceLogger,
 };
 use batsolv_trace::{EventKind, Tracer};
-use batsolv_types::{BatchDims, Error, Result};
+use batsolv_types::{BatchDims, Result};
 
-use crate::executor::{BatchExecutor, ExecMode};
+use crate::executor::DeviceLane;
 use crate::request::{RequestId, RungAttempt, SolveMethod};
 
 /// One request's payload as handed to the engine.
@@ -271,23 +270,84 @@ pub struct LadderConfig {
     pub precond: PrecondVariant,
 }
 
+impl Default for LadderConfig {
+    /// The paper's production ladder: Jacobi-preconditioned BiCGSTAB to
+    /// an absolute 1e-10 within 500 iterations, then GMRES(30) capped at
+    /// 300 iterations, then banded LU.
+    fn default() -> LadderConfig {
+        LadderConfig {
+            default_tolerance: 1e-10,
+            max_iters: 500,
+            enable_gmres: true,
+            gmres_restart: 30,
+            gmres_max_iters: 300,
+            enable_fallback: true,
+            solver: SolverVariant::Bicgstab,
+            precond: PrecondVariant::Jacobi,
+        }
+    }
+}
+
+impl LadderConfig {
+    /// Reject knobs with which every dispatch would fail or panic.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.default_tolerance.is_nan() || self.default_tolerance <= 0.0 {
+            return Err(format!(
+                "tolerance must be positive, got {}",
+                self.default_tolerance
+            ));
+        }
+        if self.max_iters == 0 {
+            return Err("max_iters must be at least 1".into());
+        }
+        if self.enable_gmres && (self.gmres_restart == 0 || self.gmres_max_iters == 0) {
+            return Err("gmres_restart and gmres_max_iters must be at least 1".into());
+        }
+        if self.precond == PrecondVariant::BlockJacobi(0) {
+            return Err("block-jacobi block size must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
+/// One step of the escalation ladder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    /// The configured fused [`SolverVariant`].
+    Krylov,
+    /// Restarted GMRES, warm-started from the previous rung's iterate.
+    Gmres,
+    /// Banded-LU (`dgbsv`) direct solve from a zero start.
+    BandedLu,
+}
+
+impl Rung {
+    /// The rung's fixed ladder position, as traced.
+    fn position(self) -> u8 {
+        match self {
+            Rung::Krylov => 1,
+            Rung::Gmres => 2,
+            Rung::BandedLu => 3,
+        }
+    }
+
+    /// The method recorded on outcomes the rung produces.
+    fn method(self) -> SolveMethod {
+        match self {
+            Rung::Krylov => SolveMethod::Bicgstab,
+            Rung::Gmres => SolveMethod::Gmres,
+            Rung::BandedLu => SolveMethod::BandedLuFallback,
+        }
+    }
+}
+
 /// The production engine: BiCGSTAB → restarted GMRES → banded LU.
 pub struct LadderEngine {
-    device: DeviceSpec,
+    lane: DeviceLane,
     pattern: Arc<SparsityPattern>,
     cfg: LadderConfig,
-    hook: Arc<dyn LaunchHook>,
-    tracer: Tracer,
-    /// Fleet shard id stamped onto every simulated-device record the
-    /// engine emits (0 = the single-device service default).
-    shard: u32,
-    /// Monotonic kernel-launch sequence across the engine's lifetime.
-    launch_seq: AtomicU64,
-    /// Concurrent batch executor carrying the fused rung-1 launch. The
-    /// engine keeps its own chaos/trace seams (hook consulted and launch
-    /// events emitted here, where rung context is known), so the inner
-    /// executor runs bare.
-    executor: BatchExecutor,
+    /// The rungs every dispatch climbs, in order.
+    rungs: Vec<Rung>,
 }
 
 impl LadderEngine {
@@ -303,22 +363,38 @@ impl LadderEngine {
         cfg: LadderConfig,
         hook: Arc<dyn LaunchHook>,
     ) -> LadderEngine {
+        let mut rungs = vec![Rung::Krylov];
+        if cfg.enable_gmres {
+            rungs.push(Rung::Gmres);
+        }
+        if cfg.enable_fallback {
+            rungs.push(Rung::BandedLu);
+        }
+        let mut lane = DeviceLane::new(device);
+        lane.hook = hook;
         LadderEngine {
-            executor: BatchExecutor::new(device.clone(), ExecMode::Concurrent),
-            device,
+            lane,
             pattern,
             cfg,
-            hook,
-            tracer: Tracer::disabled(),
-            shard: 0,
-            launch_seq: AtomicU64::new(0),
+            rungs,
         }
+    }
+
+    /// The fleet's CPU spill pool: the banded-LU rung alone, priced on
+    /// the paper's Skylake node with `workers` solve cores (the paper's
+    /// baseline uses 38). It never escalates: LU *is* its only rung.
+    pub fn cpu_pool(pattern: Arc<SparsityPattern>, workers: usize) -> LadderEngine {
+        let mut device = DeviceSpec::skylake_node();
+        device.num_cus = workers as u32;
+        let mut engine = LadderEngine::new(device, pattern, LadderConfig::default());
+        engine.rungs = vec![Rung::BandedLu];
+        engine
     }
 
     /// Attach a tracer: rung spans, per-iteration residuals, and the
     /// kernel-launch/transfer timeline flow into its sink.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.lane.tracer = tracer;
         self
     }
 
@@ -326,51 +402,8 @@ impl LadderEngine {
     /// sync, reduction, and transfer record it emits carries the id,
     /// which the chrome exporter turns into one device lane per shard.
     pub fn with_shard(mut self, shard: u32) -> Self {
-        self.shard = shard;
+        self.lane.shard = shard;
         self
-    }
-
-    /// Emit the simulated-device records of one fused launch: the h2d
-    /// upload of the subset's operands, then the launch itself.
-    fn trace_launch(&self, blocks: usize, upload_bytes: u64, report: &BatchSolveReport) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        self.tracer.emit(
-            None,
-            transfer_event(&self.device, upload_bytes, Direction::HostToDevice)
-                .with_shard(self.shard),
-        );
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        self.tracer.emit(
-            None,
-            kernel_launch_event(
-                seq,
-                report.solver,
-                &self.device,
-                blocks,
-                report.shared_per_block,
-                report.global_vector_bytes,
-                report.syncs_per_iteration,
-                &report.kernel,
-            )
-            .with_shard(self.shard),
-        );
-        // Marker events for the device lane: where the launch's barriers
-        // and reduction trees sit (direct rungs have none).
-        if report.kernel.syncs > 0 {
-            self.tracer.emit(
-                None,
-                sync_point_event(seq, report.solver, &report.kernel).with_shard(self.shard),
-            );
-        }
-        if report.kernel.reductions > 0 {
-            let width = (self.pattern.num_rows() * blocks) as u64;
-            self.tracer.emit(
-                None,
-                reduction_event(seq, report.solver, width, &report.kernel).with_shard(self.shard),
-            );
-        }
     }
 
     /// Bytes a subset's operands (values + RHS) occupy on the wire.
@@ -408,104 +441,197 @@ impl LadderEngine {
         Ok((a, b, dims))
     }
 
-    /// Rung 1: one fused launch of the configured solver variant under
-    /// `precond`, over the whole batch. Untraced, the launch rides the
-    /// concurrent batch executor; traced, the BiCGSTAB-family variants
-    /// bridge per-iteration residuals through their logger seam.
+    /// One fused launch of `rung` over an assembled subset. Untraced
+    /// dispatches pass the no-op logger, so the hot kernel carries no
+    /// per-iteration branch; the CG variants have no logger seam.
     #[allow(clippy::too_many_arguments)]
-    fn run_rung1<P: Preconditioner<f64>>(
+    fn run<P, L, F>(
         &self,
-        precond: P,
+        rung: Rung,
+        precond: &P,
         tol: f64,
         a: &BatchCsr<f64>,
         b: &BatchVectors<f64>,
         x: &mut BatchVectors<f64>,
-        items: &[BatchItem],
-        traced: bool,
-    ) -> Result<BatchSolveReport> {
-        match self.cfg.solver {
-            SolverVariant::Bicgstab | SolverVariant::BicgstabFused => {
-                let solver = BatchBicgstab::new(precond, AbsResidual::new(tol))
-                    .with_max_iters(self.cfg.max_iters)
-                    .with_fused_axpy(self.cfg.solver == SolverVariant::BicgstabFused);
-                if traced {
-                    solver.solve_logged(&self.device, a, b, x, |k| {
-                        TraceLogger::new(&self.tracer, items[k].id, 1)
-                    })
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
+        logger: F,
+    ) -> Result<BatchSolveReport>
+    where
+        P: Preconditioner<f64> + Clone,
+        L: IterationLogger<f64>,
+        F: Fn(usize) -> L + Sync + Send,
+    {
+        let device = &self.lane.device;
+        let (stop, max_iters) = (AbsResidual::new(tol), self.cfg.max_iters);
+        match (rung, self.cfg.solver) {
+            (Rung::Krylov, SolverVariant::Bicgstab | SolverVariant::BicgstabFused) => {
+                BatchBicgstab::new(precond.clone(), stop)
+                    .with_max_iters(max_iters)
+                    .with_fused_axpy(self.cfg.solver == SolverVariant::BicgstabFused)
+                    .solve_logged(device, a, b, x, logger)
             }
-            SolverVariant::PipelinedBicgstab => {
-                let solver = PipelinedBicgstab::new(precond, AbsResidual::new(tol))
-                    .with_max_iters(self.cfg.max_iters);
-                if traced {
-                    solver.solve_logged(&self.device, a, b, x, |k| {
-                        TraceLogger::new(&self.tracer, items[k].id, 1)
-                    })
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
+            (Rung::Krylov, SolverVariant::PipelinedBicgstab) => {
+                PipelinedBicgstab::new(precond.clone(), stop)
+                    .with_max_iters(max_iters)
+                    .solve_logged(device, a, b, x, logger)
             }
-            SolverVariant::Cg => {
-                let solver =
-                    BatchCg::new(precond, AbsResidual::new(tol)).with_max_iters(self.cfg.max_iters);
-                if traced {
-                    solver.solve(&self.device, a, b, x)
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
-            }
-            SolverVariant::PipelinedCg => {
-                let solver = PipelinedCg::new(precond, AbsResidual::new(tol))
-                    .with_max_iters(self.cfg.max_iters);
-                if traced {
-                    solver.solve(&self.device, a, b, x)
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
-            }
+            (Rung::Krylov, SolverVariant::Cg) => BatchCg::new(precond.clone(), stop)
+                .with_max_iters(max_iters)
+                .solve(device, a, b, x),
+            (Rung::Krylov, SolverVariant::PipelinedCg) => PipelinedCg::new(precond.clone(), stop)
+                .with_max_iters(max_iters)
+                .solve(device, a, b, x),
+            (Rung::Gmres, _) => BatchGmres::new(precond.clone(), stop, self.cfg.gmres_restart)
+                .with_max_iters(self.cfg.gmres_max_iters)
+                .solve_logged(device, a, b, x, logger),
+            (Rung::BandedLu, _) => BatchBandedLu.solve(device, &BatchBanded::from_csr(a)?, b, x),
         }
     }
 
-    /// Rung 2: restarted GMRES under `precond` over the straggler subset.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rung2_gmres<P: Preconditioner<f64>>(
+    /// Climb the rungs under `precond`. The first rung takes the whole
+    /// batch; each later one only the systems still unconverged, so a
+    /// healthy batch pays exactly one launch.
+    fn ladder<P: Preconditioner<f64> + Clone>(
         &self,
         precond: P,
-        tol: f64,
-        a: &BatchCsr<f64>,
-        b: &BatchVectors<f64>,
-        x: &mut BatchVectors<f64>,
         items: &[BatchItem],
-        sub: &[usize],
-        traced: bool,
-    ) -> Result<BatchSolveReport> {
-        let gmres = BatchGmres::new(precond, AbsResidual::new(tol), self.cfg.gmres_restart)
-            .with_max_iters(self.cfg.gmres_max_iters);
-        if traced {
-            gmres.solve_logged(&self.device, a, b, x, |k| {
-                TraceLogger::new(&self.tracer, items[sub[k]].id, 2)
-            })
-        } else {
-            gmres.solve(&self.device, a, b, x)
+    ) -> Result<BatchReport> {
+        let n = self.pattern.num_rows();
+        let tol = self.effective_tolerance(items);
+        let tracer = &self.lane.tracer;
+        let traced = tracer.is_enabled();
+        let mut outcomes: Vec<ItemOutcome> = Vec::with_capacity(items.len());
+        let (mut sim_time_s, mut syncs, mut reductions) = (0.0, 0, 0);
+        let mut split = SimSplit::default();
+        let mut solver = self.cfg.solver.name();
+
+        for (step, &rung) in self.rungs.iter().enumerate() {
+            let sub: Vec<usize> = (0..items.len())
+                .filter(|&i| step == 0 || !outcomes[i].converged)
+                .collect();
+            if step > 0 && sub.is_empty() {
+                break;
+            }
+            let (a, b, dims) = self.assemble(items, &sub)?;
+            // Start from the caller's guess on the first rung and from the
+            // previous rung's (sanitized, finite) iterate after that.
+            let mut x = BatchVectors::zeros(dims);
+            if rung != Rung::BandedLu {
+                for (k, &i) in sub.iter().enumerate() {
+                    let start = match step {
+                        0 => items[i].guess.as_deref(),
+                        _ => Some(outcomes[i].x.as_slice()),
+                    };
+                    if let Some(start) = start {
+                        x.system_mut(k).copy_from_slice(start);
+                    }
+                }
+            }
+            let (pos, method) = (rung.position(), rung.method());
+            let span = match rung {
+                Rung::Krylov => self.cfg.solver.name(),
+                _ => method.name(),
+            };
+            if traced {
+                for &i in &sub {
+                    tracer.emit(
+                        Some(items[i].id),
+                        EventKind::RungBegin {
+                            rung: pos,
+                            method: span,
+                        },
+                    );
+                }
+            }
+            let report = if traced {
+                self.run(rung, &precond, tol, &a, &b, &mut x, |k| {
+                    TraceLogger::new(tracer, items[sub[k]].id, pos)
+                })?
+            } else {
+                self.run(rung, &precond, tol, &a, &b, &mut x, |_| NoopLogger)?
+            };
+            let upload = Self::upload_bytes(items, &sub);
+            if traced {
+                self.lane.trace_transfer(upload, Direction::HostToDevice);
+                self.lane.trace_launch(sub.len(), n, &report);
+                for (k, &i) in sub.iter().enumerate() {
+                    let r = &report.per_system[k];
+                    tracer.emit(
+                        Some(items[i].id),
+                        EventKind::RungEnd {
+                            rung: pos,
+                            method: span,
+                            iterations: r.iterations,
+                            residual: r.residual,
+                            converged: r.converged,
+                            breakdown: r.breakdown,
+                        },
+                    );
+                }
+            }
+            sim_time_s += report.time_s();
+            syncs += report.syncs();
+            reductions += report.reductions();
+            split.add_transfer(&self.lane.device, upload, Direction::HostToDevice);
+            split.add_kernel(&report);
+
+            if step == 0 && rung != Rung::Krylov {
+                solver = report.solver;
+            }
+            for (k, &i) in sub.iter().enumerate() {
+                let r = &report.per_system[k];
+                let attempt = RungAttempt {
+                    method,
+                    iterations: r.iterations,
+                    residual: r.residual,
+                    converged: r.converged,
+                    breakdown: r.breakdown,
+                };
+                // The first rung a system attempts sets its outcome
+                // whether or not it converged; later rungs replace it only
+                // on success, and only iterative rungs add iterations.
+                if step == 0 {
+                    outcomes.push(ItemOutcome {
+                        id: items[i].id,
+                        x: x.system(k).to_vec(),
+                        iterations: r.iterations,
+                        residual: r.residual,
+                        converged: r.converged,
+                        method,
+                        breakdown: r.breakdown,
+                        rungs: vec![attempt],
+                    });
+                    continue;
+                }
+                let o = &mut outcomes[i];
+                o.rungs.push(attempt);
+                if rung != Rung::BandedLu {
+                    o.iterations += r.iterations;
+                }
+                if r.converged {
+                    o.x = x.system(k).to_vec();
+                    o.residual = r.residual;
+                    o.converged = true;
+                    o.method = method;
+                    o.breakdown = None;
+                } else {
+                    o.breakdown = r.breakdown.or(o.breakdown);
+                }
+            }
         }
+
+        // Download of the solutions, one fused d2h copy for the batch.
+        let download = (items.len() * n * 8) as u64;
+        self.lane.trace_transfer(download, Direction::DeviceToHost);
+        split.add_transfer(&self.lane.device, download, Direction::DeviceToHost);
+
+        Ok(BatchReport {
+            outcomes,
+            sim_time_s,
+            syncs,
+            reductions,
+            solver,
+            split,
+        })
     }
 }
 
@@ -513,337 +639,31 @@ impl SolveEngine for LadderEngine {
     fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
         // Chaos seam: the hook sees the fused launch before it happens.
         let ids: Vec<u64> = items.iter().map(|it| it.id).collect();
-        match self.hook.disrupt(&ids) {
-            LaunchDisruption::Proceed => {}
-            LaunchDisruption::DeviceFail { code } => {
-                return Err(Error::DeviceFailure { code });
-            }
-            LaunchDisruption::Panic { reason } => {
-                panic!("{reason}");
-            }
-            LaunchDisruption::Stall(d) => {
-                std::thread::sleep(d);
-            }
-        }
-
-        let n = self.pattern.num_rows();
-        let tol = self.effective_tolerance(items);
-        let all: Vec<usize> = (0..items.len()).collect();
-
-        // Rung 1: fused BiCGSTAB over the whole batch.
-        let (a, b, dims) = self.assemble(items, &all)?;
-        let mut x = BatchVectors::zeros(dims);
-        for (i, it) in items.iter().enumerate() {
-            if let Some(g) = &it.guess {
-                x.system_mut(i).copy_from_slice(g);
-            }
-        }
-        let traced = self.tracer.is_enabled();
-        let method = self.cfg.solver.name();
-        if traced {
-            for it in items {
-                self.tracer
-                    .emit(Some(it.id), EventKind::RungBegin { rung: 1, method });
-            }
-        }
+        self.lane.consult_hook(&ids)?;
         // The preconditioner is a compile-time generic of the solver
-        // kernels, so the runtime choice monomorphizes here: one arm per
-        // ladder preconditioner, each instantiating the configured solver
-        // variant through `run_rung1`.
-        let report = match self.cfg.precond {
-            PrecondVariant::None => self.run_rung1(Identity, tol, &a, &b, &mut x, items, traced)?,
-            PrecondVariant::Jacobi => self.run_rung1(Jacobi, tol, &a, &b, &mut x, items, traced)?,
-            PrecondVariant::BlockJacobi(bs) => {
-                self.run_rung1(BlockJacobi::new(bs), tol, &a, &b, &mut x, items, traced)?
-            }
-            PrecondVariant::Ilu0 => {
-                let ilu = Ilu0::new(Arc::clone(&self.pattern));
-                self.run_rung1(ilu, tol, &a, &b, &mut x, items, traced)?
-            }
-        };
-        if traced {
-            self.trace_launch(items.len(), Self::upload_bytes(items, &all), &report);
-            for (i, it) in items.iter().enumerate() {
-                let r = &report.per_system[i];
-                self.tracer.emit(
-                    Some(it.id),
-                    EventKind::RungEnd {
-                        rung: 1,
-                        method,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    },
-                );
-            }
+        // kernels, so the runtime choice monomorphizes here, once, and
+        // every iterative rung runs under it.
+        match self.cfg.precond {
+            PrecondVariant::None => self.ladder(Identity, items),
+            PrecondVariant::Jacobi => self.ladder(Jacobi, items),
+            PrecondVariant::BlockJacobi(bs) => self.ladder(BlockJacobi::new(bs), items),
+            PrecondVariant::Ilu0 => self.ladder(Ilu0::new(Arc::clone(&self.pattern)), items),
         }
-        let mut sim_time_s = report.time_s();
-        let mut syncs = report.syncs();
-        let mut reductions = report.reductions();
-        let mut split = SimSplit::default();
-        split.add_transfer(
-            &self.device,
-            Self::upload_bytes(items, &all),
-            Direction::HostToDevice,
-        );
-        split.add_kernel(&report);
-
-        let mut outcomes: Vec<ItemOutcome> = items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| {
-                let r = &report.per_system[i];
-                ItemOutcome {
-                    id: it.id,
-                    x: x.system(i).to_vec(),
-                    iterations: r.iterations,
-                    residual: r.residual,
-                    converged: r.converged,
-                    method: SolveMethod::Bicgstab,
-                    breakdown: r.breakdown,
-                    rungs: vec![RungAttempt {
-                        method: SolveMethod::Bicgstab,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    }],
-                }
-            })
-            .collect();
-
-        let stragglers = |outcomes: &[ItemOutcome]| -> Vec<usize> {
-            outcomes
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| !o.converged)
-                .map(|(i, _)| i)
-                .collect()
-        };
-
-        // Rung 2: restarted GMRES on whatever BiCGSTAB left behind,
-        // warm-started from the (sanitized, finite) BiCGSTAB iterate.
-        if self.cfg.enable_gmres {
-            let sub = stragglers(&outcomes);
-            if !sub.is_empty() {
-                let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
-                let mut sub_x = BatchVectors::zeros(sub_dims);
-                for (k, &i) in sub.iter().enumerate() {
-                    sub_x.system_mut(k).copy_from_slice(&outcomes[i].x);
-                }
-                if traced {
-                    for &i in &sub {
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungBegin {
-                                rung: 2,
-                                method: "gmres",
-                            },
-                        );
-                    }
-                }
-                // Rung 2 runs under the same preconditioner as rung 1.
-                let g_report = match self.cfg.precond {
-                    PrecondVariant::None => self.run_rung2_gmres(
-                        Identity, tol, &sub_a, &sub_b, &mut sub_x, items, &sub, traced,
-                    )?,
-                    PrecondVariant::Jacobi => self.run_rung2_gmres(
-                        Jacobi, tol, &sub_a, &sub_b, &mut sub_x, items, &sub, traced,
-                    )?,
-                    PrecondVariant::BlockJacobi(bs) => self.run_rung2_gmres(
-                        BlockJacobi::new(bs),
-                        tol,
-                        &sub_a,
-                        &sub_b,
-                        &mut sub_x,
-                        items,
-                        &sub,
-                        traced,
-                    )?,
-                    PrecondVariant::Ilu0 => self.run_rung2_gmres(
-                        Ilu0::new(Arc::clone(&self.pattern)),
-                        tol,
-                        &sub_a,
-                        &sub_b,
-                        &mut sub_x,
-                        items,
-                        &sub,
-                        traced,
-                    )?,
-                };
-                if traced {
-                    self.trace_launch(sub.len(), Self::upload_bytes(items, &sub), &g_report);
-                    for (k, &i) in sub.iter().enumerate() {
-                        let r = &g_report.per_system[k];
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungEnd {
-                                rung: 2,
-                                method: "gmres",
-                                iterations: r.iterations,
-                                residual: r.residual,
-                                converged: r.converged,
-                                breakdown: r.breakdown,
-                            },
-                        );
-                    }
-                }
-                sim_time_s += g_report.time_s();
-                syncs += g_report.syncs();
-                reductions += g_report.reductions();
-                split.add_transfer(
-                    &self.device,
-                    Self::upload_bytes(items, &sub),
-                    Direction::HostToDevice,
-                );
-                split.add_kernel(&g_report);
-                for (k, &i) in sub.iter().enumerate() {
-                    let r = &g_report.per_system[k];
-                    let o = &mut outcomes[i];
-                    o.rungs.push(RungAttempt {
-                        method: SolveMethod::Gmres,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    });
-                    o.iterations += r.iterations;
-                    if r.converged {
-                        o.x = sub_x.system(k).to_vec();
-                        o.residual = r.residual;
-                        o.converged = true;
-                        o.method = SolveMethod::Gmres;
-                        o.breakdown = None;
-                    } else {
-                        o.breakdown = r.breakdown.or(o.breakdown);
-                    }
-                }
-            }
-        }
-
-        // Rung 3: banded-LU direct solve — always produces a solution
-        // modulo genuine singularity, so a missed iteration cap degrades
-        // to dgbsv cost instead of an error.
-        if self.cfg.enable_fallback {
-            let sub = stragglers(&outcomes);
-            if !sub.is_empty() {
-                let sub_values: Vec<Vec<f64>> =
-                    sub.iter().map(|&i| items[i].values.clone()).collect();
-                let sub_a = BatchCsr::from_system_values(Arc::clone(&self.pattern), &sub_values)?;
-                let banded = BatchBanded::from_csr(&sub_a)?;
-                let sub_dims = BatchDims::new(sub.len(), n)?;
-                let mut sub_rhs = Vec::with_capacity(sub.len() * n);
-                for &i in &sub {
-                    sub_rhs.extend_from_slice(&items[i].rhs);
-                }
-                let sub_b = BatchVectors::from_values(sub_dims, sub_rhs)?;
-                let mut sub_x = BatchVectors::zeros(sub_dims);
-                if traced {
-                    for &i in &sub {
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungBegin {
-                                rung: 3,
-                                method: "banded-lu",
-                            },
-                        );
-                    }
-                }
-                let lu_report = BatchBandedLu.solve(&self.device, &banded, &sub_b, &mut sub_x)?;
-                if traced {
-                    self.trace_launch(sub.len(), Self::upload_bytes(items, &sub), &lu_report);
-                    for (k, &i) in sub.iter().enumerate() {
-                        let lr = &lu_report.per_system[k];
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungEnd {
-                                rung: 3,
-                                method: "banded-lu",
-                                iterations: lr.iterations,
-                                residual: lr.residual,
-                                converged: lr.converged,
-                                breakdown: lr.breakdown,
-                            },
-                        );
-                    }
-                }
-                sim_time_s += lu_report.time_s();
-                syncs += lu_report.syncs();
-                reductions += lu_report.reductions();
-                split.add_transfer(
-                    &self.device,
-                    Self::upload_bytes(items, &sub),
-                    Direction::HostToDevice,
-                );
-                split.add_kernel(&lu_report);
-                for (k, &i) in sub.iter().enumerate() {
-                    let lr = &lu_report.per_system[k];
-                    let o = &mut outcomes[i];
-                    o.rungs.push(RungAttempt {
-                        method: SolveMethod::BandedLuFallback,
-                        iterations: lr.iterations,
-                        residual: lr.residual,
-                        converged: lr.converged,
-                        breakdown: lr.breakdown,
-                    });
-                    if lr.converged {
-                        o.x = sub_x.system(k).to_vec();
-                        o.residual = lr.residual;
-                        o.converged = true;
-                        o.method = SolveMethod::BandedLuFallback;
-                        o.breakdown = None;
-                    } else {
-                        o.breakdown = lr.breakdown.or(o.breakdown);
-                    }
-                }
-            }
-        }
-
-        // Download of the solutions, one fused d2h copy for the batch.
-        if traced {
-            self.tracer.emit(
-                None,
-                transfer_event(
-                    &self.device,
-                    (items.len() * n * 8) as u64,
-                    Direction::DeviceToHost,
-                )
-                .with_shard(self.shard),
-            );
-        }
-
-        split.add_transfer(
-            &self.device,
-            (items.len() * n * 8) as u64,
-            Direction::DeviceToHost,
-        );
-
-        Ok(BatchReport {
-            outcomes,
-            sim_time_s,
-            syncs,
-            reductions,
-            solver: method,
-            split,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use batsolv_gpusim::LaunchDisruption;
+    use batsolv_types::Error;
+
     use super::*;
 
     fn cfg(tol: f64, max_iters: usize) -> LadderConfig {
         LadderConfig {
             default_tolerance: tol,
             max_iters,
-            enable_gmres: true,
-            gmres_restart: 30,
-            gmres_max_iters: 300,
-            enable_fallback: true,
-            solver: SolverVariant::Bicgstab,
-            precond: PrecondVariant::Jacobi,
+            ..LadderConfig::default()
         }
     }
 
@@ -1189,5 +1009,35 @@ mod tests {
             Err(Error::DeviceFailure { code }) => assert_eq!(code, "test_fail"),
             other => panic!("expected DeviceFailure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cpu_engine_solves_on_the_skylake_profile() {
+        let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+        let n = pattern.num_rows();
+        let values: Vec<f64> = (0..n)
+            .flat_map(|r| {
+                pattern
+                    .row_cols(r)
+                    .iter()
+                    .map(move |&c| if c as usize == r { 8.0 } else { -1.0 })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let engine = LadderEngine::cpu_pool(Arc::clone(&pattern), 38);
+        assert_eq!(engine.lane.device.num_cus, 38);
+        let report = engine
+            .solve_batch(&items_of(&values, &vec![1.0; n], 3))
+            .unwrap();
+        assert_eq!(report.outcomes.len(), 3);
+        for o in &report.outcomes {
+            assert!(o.converged);
+            assert_eq!(o.method, SolveMethod::BandedLuFallback);
+            assert_eq!(o.rungs.len(), 1, "the pool never escalates");
+            assert_eq!(o.iterations, 1, "LU reports one iteration");
+        }
+        assert_eq!(report.solver, "dgbsv");
+        assert!(report.sim_time_s > 0.0, "host dispatch is still priced");
+        assert_eq!(report.split.transfer_us, 0.0, "host data moves nowhere");
     }
 }

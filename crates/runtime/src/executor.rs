@@ -23,22 +23,23 @@
 //! fused/sequential simulated-time ratio as real speedup.
 //!
 //! The executor threads the same observability seams as the ladder
-//! engine: a [`LaunchHook`] is consulted before every launch (once per
-//! system in sequential mode — a failure there loses only that system's
-//! launch; once for the whole batch in concurrent mode — a failure loses
-//! everything, exactly the blast-radius asymmetry of real devices), and
-//! an attached [`Tracer`] receives one `KernelLaunch` event per launch.
+//! engine, through the same `DeviceLane`: a [`LaunchHook`] is consulted
+//! before every launch (once per system in sequential mode — a failure
+//! there loses only that system's launch; once for the whole batch in
+//! concurrent mode — a failure loses everything, exactly the
+//! blast-radius asymmetry of real devices), and an attached [`Tracer`]
+//! receives one `KernelLaunch` event per launch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use batsolv_formats::{BatchMatrix, BatchVectors, SystemSlice};
 use batsolv_gpusim::{
-    kernel_launch_event, reduction_event, sync_point_event, DeviceSpec, LaunchDisruption,
-    LaunchHook, NoDisruption,
+    kernel_launch_event, reduction_event, sync_point_event, transfer_event, DeviceSpec, Direction,
+    LaunchDisruption, LaunchHook, NoDisruption,
 };
 use batsolv_solvers::{BatchSolveReport, IterativeSolver, SystemResult};
-use batsolv_trace::Tracer;
+use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::{Error, Result, Scalar};
 
 /// How the batch dimension is mapped onto launches.
@@ -90,45 +91,34 @@ impl ExecReport {
     }
 }
 
-/// Runs an [`IterativeSolver`] over a batch in a chosen [`ExecMode`].
-pub struct BatchExecutor {
-    device: DeviceSpec,
-    mode: ExecMode,
-    hook: Arc<dyn LaunchHook>,
-    tracer: Tracer,
-    launch_seq: AtomicU64,
+/// One simulated device as both launch paths (this executor and the
+/// ladder engine) see it: the spec launches are priced on, the chaos
+/// hook consulted before each launch, and the trace lane its records
+/// land in.
+pub(crate) struct DeviceLane {
+    pub(crate) device: DeviceSpec,
+    pub(crate) hook: Arc<dyn LaunchHook>,
+    pub(crate) tracer: Tracer,
+    /// Fleet shard id stamped onto every record (0 = single device).
+    pub(crate) shard: u32,
+    /// Monotonic kernel-launch sequence across the lane's lifetime.
+    seq: AtomicU64,
 }
 
-impl BatchExecutor {
-    /// Executor on `device` with no disruption and no tracing.
-    pub fn new(device: DeviceSpec, mode: ExecMode) -> Self {
-        BatchExecutor {
+impl DeviceLane {
+    /// Lane on `device` with no disruption and no tracing.
+    pub(crate) fn new(device: DeviceSpec) -> DeviceLane {
+        DeviceLane {
             device,
-            mode,
             hook: Arc::new(NoDisruption),
             tracer: Tracer::disabled(),
-            launch_seq: AtomicU64::new(0),
+            shard: 0,
+            seq: AtomicU64::new(0),
         }
     }
 
-    /// Attach a launch hook (chaos seam), consulted before every launch.
-    pub fn with_hook(mut self, hook: Arc<dyn LaunchHook>) -> Self {
-        self.hook = hook;
-        self
-    }
-
-    /// Attach a tracer: every launch emits a `KernelLaunch` event.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    fn consult_hook(&self, ids: &[u64]) -> Result<()> {
+    /// Let the chaos hook see a launch carrying `ids` before it happens.
+    pub(crate) fn consult_hook(&self, ids: &[u64]) -> Result<()> {
         match self.hook.disrupt(ids) {
             LaunchDisruption::Proceed => Ok(()),
             LaunchDisruption::DeviceFail { code } => Err(Error::DeviceFailure { code }),
@@ -140,36 +130,76 @@ impl BatchExecutor {
         }
     }
 
-    fn trace_launch(&self, blocks: usize, rows: usize, report: &BatchSolveReport) {
+    /// Emit the records of one launch of `blocks` systems of `rows`
+    /// rows: the kernel launch, then markers for where its barriers and
+    /// reduction trees sit (direct solvers have none).
+    pub(crate) fn trace_launch(&self, blocks: usize, rows: usize, report: &BatchSolveReport) {
         if !self.tracer.is_enabled() {
             return;
         }
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        self.tracer.emit(
-            None,
-            kernel_launch_event(
-                seq,
-                report.solver,
-                &self.device,
-                blocks,
-                report.shared_per_block,
-                report.global_vector_bytes,
-                report.syncs_per_iteration,
-                &report.kernel,
-            ),
-        );
-        // Marker events for the device lane: where the launch's barriers
-        // and reduction trees sit (direct solvers have none).
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let emit = |kind: EventKind| self.tracer.emit(None, kind.with_shard(self.shard));
+        emit(kernel_launch_event(
+            seq,
+            report.solver,
+            &self.device,
+            blocks,
+            report.shared_per_block,
+            report.global_vector_bytes,
+            report.syncs_per_iteration,
+            &report.kernel,
+        ));
         if report.kernel.syncs > 0 {
-            self.tracer
-                .emit(None, sync_point_event(seq, report.solver, &report.kernel));
+            emit(sync_point_event(seq, report.solver, &report.kernel));
         }
         if report.kernel.reductions > 0 {
+            let width = (rows * blocks) as u64;
+            emit(reduction_event(seq, report.solver, width, &report.kernel));
+        }
+    }
+
+    /// Emit one host↔device copy. A host-resident device (infinite host
+    /// link, the CPU pool) moves nothing, so it emits nothing.
+    pub(crate) fn trace_transfer(&self, bytes: u64, dir: Direction) {
+        if self.tracer.is_enabled() && self.device.host_link_gbps.is_finite() {
             self.tracer.emit(
                 None,
-                reduction_event(seq, report.solver, (rows * blocks) as u64, &report.kernel),
+                transfer_event(&self.device, bytes, dir).with_shard(self.shard),
             );
         }
+    }
+}
+
+/// Runs an [`IterativeSolver`] over a batch in a chosen [`ExecMode`].
+pub struct BatchExecutor {
+    lane: DeviceLane,
+    mode: ExecMode,
+}
+
+impl BatchExecutor {
+    /// Executor on `device` with no disruption and no tracing.
+    pub fn new(device: DeviceSpec, mode: ExecMode) -> Self {
+        BatchExecutor {
+            lane: DeviceLane::new(device),
+            mode,
+        }
+    }
+
+    /// Attach a launch hook (chaos seam), consulted before every launch.
+    pub fn with_hook(mut self, hook: Arc<dyn LaunchHook>) -> Self {
+        self.lane.hook = hook;
+        self
+    }
+
+    /// Attach a tracer: every launch emits a `KernelLaunch` event.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.lane.tracer = tracer;
+        self
+    }
+
+    /// The execution mode.
+    pub fn mode(&self) -> ExecMode {
+        self.mode
     }
 
     /// Solve `A_i x_i = b_i` for the whole batch, `x` as initial guess.
@@ -197,9 +227,10 @@ impl BatchExecutor {
 
         match self.mode {
             ExecMode::Concurrent => {
-                self.consult_hook(&ids)?;
-                let report = solver.solve_batch(&self.device, a, b, x)?;
-                self.trace_launch(dims.num_systems, dims.num_rows, &report);
+                self.lane.consult_hook(&ids)?;
+                let report = solver.solve_batch(&self.lane.device, a, b, x)?;
+                self.lane
+                    .trace_launch(dims.num_systems, dims.num_rows, &report);
                 Ok(ExecReport {
                     per_system: report.per_system.clone(),
                     sim_time_s: report.time_s(),
@@ -219,7 +250,7 @@ impl BatchExecutor {
                 let mut reductions = 0u64;
                 let mut syncs_per_iteration = 0.0;
                 for i in 0..dims.num_systems {
-                    if let Err(Error::DeviceFailure { .. }) = self.consult_hook(&ids[i..=i]) {
+                    if let Err(Error::DeviceFailure { .. }) = self.lane.consult_hook(&ids[i..=i]) {
                         per_system.push(SystemResult {
                             iterations: 0,
                             residual: f64::INFINITY,
@@ -231,9 +262,9 @@ impl BatchExecutor {
                     let slice = SystemSlice::new(a, i)?;
                     let bi = BatchVectors::from_values(slice.dims(), b.system(i).to_vec())?;
                     let mut xi = BatchVectors::from_values(slice.dims(), x.system(i).to_vec())?;
-                    let report = solver.solve_batch(&self.device, &slice, &bi, &mut xi)?;
+                    let report = solver.solve_batch(&self.lane.device, &slice, &bi, &mut xi)?;
                     x.system_mut(i).copy_from_slice(xi.system(0));
-                    self.trace_launch(1, dims.num_rows, &report);
+                    self.lane.trace_launch(1, dims.num_rows, &report);
                     sim_time_s += report.time_s();
                     launches += 1;
                     syncs += report.syncs();

@@ -48,6 +48,7 @@ pub fn prometheus_text_full(
         ("shape", s.rejected_shape),
         ("nonfinite", s.rejected_nonfinite),
         ("zero_diag", s.rejected_zero_diag),
+        ("tolerance", s.rejected_tolerance),
         ("circuit_open", s.rejected_circuit_open),
     ] {
         m.counter(

@@ -3,6 +3,8 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use crate::admission::RejectReason;
+
 /// Identifier assigned to each accepted request, unique per service.
 pub type RequestId = u64;
 
@@ -54,6 +56,32 @@ impl SolveRequest {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// The checks every service runs before admission: each field's
+    /// length against a pattern of `nnz` entries over `n` rows, then the
+    /// tolerance, which must be finite and positive when present.
+    pub fn check(&self, nnz: usize, n: usize) -> Result<(), SubmitError> {
+        let guess = self.guess.as_ref().map_or(n, Vec::len);
+        for (field, expected, got) in [
+            ("values", nnz, self.values.len()),
+            ("rhs", n, self.rhs.len()),
+            ("guess", n, guess),
+        ] {
+            if got != expected {
+                return Err(SubmitError::ShapeMismatch {
+                    field,
+                    expected,
+                    got,
+                });
+            }
+        }
+        match self.tolerance {
+            Some(value) if !(value.is_finite() && value > 0.0) => Err(SubmitError::Rejected {
+                reason: RejectReason::BadTolerance { value },
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -218,7 +246,7 @@ pub enum SubmitError {
     /// Jacobi diagonal) before it could poison a fused launch.
     Rejected {
         /// The structured reason.
-        reason: crate::admission::RejectReason,
+        reason: RejectReason,
     },
     /// The circuit breaker is open after a run of degraded batches; the
     /// service is shedding load while the backend recovers.
@@ -315,6 +343,31 @@ mod tests {
         assert_eq!(r.guess.as_ref().unwrap().len(), 3);
         assert_eq!(r.tolerance, Some(1e-6));
         assert_eq!(r.deadline, Some(Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn check_rejects_bad_shapes_and_tolerances() {
+        let ok = SolveRequest::new(vec![1.0; 5], vec![2.0; 3]);
+        assert!(ok.check(5, 3).is_ok());
+        assert!(ok.clone().with_tolerance(1e-6).check(5, 3).is_ok());
+        for (req, want) in [
+            (SolveRequest::new(vec![1.0; 4], vec![2.0; 3]), "values"),
+            (SolveRequest::new(vec![1.0; 5], vec![2.0; 2]), "rhs"),
+            (ok.clone().with_guess(vec![0.0; 4]), "guess"),
+        ] {
+            match req.check(5, 3) {
+                Err(SubmitError::ShapeMismatch { field, .. }) => assert_eq!(field, want),
+                other => panic!("{want}: expected ShapeMismatch, got {other:?}"),
+            }
+        }
+        for tol in [0.0, -1e-8, f64::NAN, f64::INFINITY] {
+            match ok.clone().with_tolerance(tol).check(5, 3) {
+                Err(SubmitError::Rejected {
+                    reason: RejectReason::BadTolerance { value },
+                }) => assert!(value.to_bits() == tol.to_bits()),
+                other => panic!("tolerance {tol}: expected BadTolerance, got {other:?}"),
+            }
+        }
     }
 
     #[test]

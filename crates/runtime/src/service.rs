@@ -26,7 +26,7 @@ use crate::autotune::AutoTuner;
 use crate::breaker::CircuitBreaker;
 use crate::classes::{ClassTracker, ClassesSnapshot};
 use crate::config::RuntimeConfig;
-use crate::dispatcher::{BatchItem, LadderConfig, LadderEngine, SimSplit, SolveEngine};
+use crate::dispatcher::{BatchItem, LadderEngine, SimSplit, SolveEngine};
 use crate::former::{BatchFormer, FlushReason};
 use crate::queue::{BoundedQueue, PopResult, PushResult};
 use crate::request::{Solution, SolveError, SolveOutcome, SolveRequest, SubmitError, Ticket};
@@ -140,12 +140,8 @@ impl SolveService {
     /// fused BiCGSTAB → restarted GMRES → banded-LU fallback).
     pub fn start(pattern: Arc<SparsityPattern>, config: RuntimeConfig) -> Result<SolveService> {
         let engine = Arc::new(
-            LadderEngine::new(
-                config.device.clone(),
-                Arc::clone(&pattern),
-                ladder_config(&config),
-            )
-            .with_tracer(config.tracer.clone()),
+            LadderEngine::new(config.device.clone(), Arc::clone(&pattern), config.ladder)
+                .with_tracer(config.tracer.clone()),
         );
         Self::start_with_engine(pattern, config, engine)
     }
@@ -161,7 +157,7 @@ impl SolveService {
             LadderEngine::with_hook(
                 config.device.clone(),
                 Arc::clone(&pattern),
-                ladder_config(&config),
+                config.ladder,
                 hook,
             )
             .with_tracer(config.tracer.clone()),
@@ -187,8 +183,8 @@ impl SolveService {
             autotune: config.autotune.map(AutoTuner::new),
             batch_seq: AtomicU64::new(0),
         });
-        shared.stats.set_solver(config.solver.name());
-        shared.stats.set_precond(config.precond.name());
+        shared.stats.set_solver(config.ladder.solver.name());
+        shared.stats.set_precond(config.ladder.precond.name());
         let gate = config
             .validate_admission
             .then(|| AdmissionGate::new(&pattern, config.min_diag_abs));
@@ -244,62 +240,51 @@ impl SolveService {
         let submit_started = Instant::now();
         let nnz = self.pattern.nnz();
         let n = self.pattern.num_rows();
-        let reject = |reason: &'static str| {
+        let admitted = request
+            .check(nnz, n)
+            .and_then(|()| match &self.gate {
+                Some(gate) => gate
+                    .check(&request.values, &request.rhs, request.guess.as_deref())
+                    .map_err(|reason| SubmitError::Rejected { reason }),
+                None => Ok(()),
+            })
+            .and_then(|()| match &self.shared.breaker {
+                Some(breaker) => breaker
+                    .check(Instant::now())
+                    .map_err(|retry_after| SubmitError::CircuitOpen { retry_after }),
+                None => Ok(()),
+            });
+        if let Err(e) = admitted {
+            let stats = &self.shared.stats;
+            let reason = match &e {
+                SubmitError::Rejected { reason } => match reason {
+                    RejectReason::NonFinite { .. } => {
+                        stats.on_rejected_nonfinite();
+                        "nonfinite"
+                    }
+                    RejectReason::ZeroDiagonal { .. } => {
+                        stats.on_rejected_zero_diag();
+                        "zero_diag"
+                    }
+                    RejectReason::BadTolerance { .. } => {
+                        stats.on_rejected_tolerance();
+                        "tolerance"
+                    }
+                },
+                SubmitError::CircuitOpen { .. } => {
+                    stats.on_rejected_circuit_open();
+                    "circuit_open"
+                }
+                // The only other error `check` returns.
+                _ => {
+                    stats.on_rejected_shape();
+                    "shape"
+                }
+            };
             self.shared
                 .tracer
                 .emit(None, EventKind::Rejected { reason });
-        };
-        if request.values.len() != nnz {
-            self.shared.stats.on_rejected_shape();
-            reject("shape");
-            return Err(SubmitError::ShapeMismatch {
-                field: "values",
-                expected: nnz,
-                got: request.values.len(),
-            });
-        }
-        if request.rhs.len() != n {
-            self.shared.stats.on_rejected_shape();
-            reject("shape");
-            return Err(SubmitError::ShapeMismatch {
-                field: "rhs",
-                expected: n,
-                got: request.rhs.len(),
-            });
-        }
-        if let Some(g) = &request.guess {
-            if g.len() != n {
-                self.shared.stats.on_rejected_shape();
-                reject("shape");
-                return Err(SubmitError::ShapeMismatch {
-                    field: "guess",
-                    expected: n,
-                    got: g.len(),
-                });
-            }
-        }
-        if let Some(gate) = &self.gate {
-            if let Err(reason) = gate.check(&request.values, &request.rhs, request.guess.as_deref())
-            {
-                match reason {
-                    RejectReason::NonFinite { .. } => {
-                        self.shared.stats.on_rejected_nonfinite();
-                        reject("nonfinite");
-                    }
-                    RejectReason::ZeroDiagonal { .. } => {
-                        self.shared.stats.on_rejected_zero_diag();
-                        reject("zero_diag");
-                    }
-                }
-                return Err(SubmitError::Rejected { reason });
-            }
-        }
-        if let Some(breaker) = &self.shared.breaker {
-            if let Err(retry_after) = breaker.check(Instant::now()) {
-                self.shared.stats.on_rejected_circuit_open();
-                reject("circuit_open");
-                return Err(SubmitError::CircuitOpen { retry_after });
-            }
+            return Err(e);
         }
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -395,19 +380,6 @@ impl SolveService {
 impl Drop for SolveService {
     fn drop(&mut self) {
         self.shutdown_in_place();
-    }
-}
-
-fn ladder_config(config: &RuntimeConfig) -> LadderConfig {
-    LadderConfig {
-        default_tolerance: config.tolerance,
-        max_iters: config.max_iters,
-        enable_gmres: config.enable_gmres,
-        gmres_restart: config.gmres_restart,
-        gmres_max_iters: config.gmres_max_iters,
-        enable_fallback: config.enable_fallback,
-        solver: config.solver,
-        precond: config.precond,
     }
 }
 

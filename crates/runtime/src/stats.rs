@@ -51,6 +51,7 @@ pub struct StatsRegistry {
     rejected_shape: AtomicU64,
     rejected_nonfinite: AtomicU64,
     rejected_zero_diag: AtomicU64,
+    rejected_tolerance: AtomicU64,
     rejected_circuit_open: AtomicU64,
     converged_iterative: AtomicU64,
     converged_gmres: AtomicU64,
@@ -92,6 +93,10 @@ impl StatsRegistry {
 
     pub(crate) fn on_rejected_zero_diag(&self) {
         self.rejected_zero_diag.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn on_rejected_tolerance(&self) {
+        self.rejected_tolerance.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_rejected_circuit_open(&self) {
@@ -191,6 +196,7 @@ impl StatsRegistry {
             rejected_shape: self.rejected_shape.load(Ordering::Relaxed),
             rejected_nonfinite: self.rejected_nonfinite.load(Ordering::Relaxed),
             rejected_zero_diag: self.rejected_zero_diag.load(Ordering::Relaxed),
+            rejected_tolerance: self.rejected_tolerance.load(Ordering::Relaxed),
             rejected_circuit_open: self.rejected_circuit_open.load(Ordering::Relaxed),
             converged_iterative: self.converged_iterative.load(Ordering::Relaxed),
             converged_gmres: self.converged_gmres.load(Ordering::Relaxed),
@@ -250,6 +256,8 @@ pub struct StatsSnapshot {
     pub rejected_nonfinite: u64,
     /// Requests rejected by the admission gate for unusable diagonals.
     pub rejected_zero_diag: u64,
+    /// Requests rejected for a tolerance that is not finite and positive.
+    pub rejected_tolerance: u64,
     /// Requests shed with [`crate::SubmitError::CircuitOpen`].
     pub rejected_circuit_open: u64,
     /// Requests converged by BiCGSTAB (rung 1).
@@ -321,6 +329,7 @@ impl StatsSnapshot {
             + self.rejected_shape
             + self.rejected_nonfinite
             + self.rejected_zero_diag
+            + self.rejected_tolerance
             + self.rejected_circuit_open
     }
 
@@ -347,8 +356,11 @@ impl StatsSnapshot {
         ));
         out.push_str(&format!(
             "  admission: {} rejected (non-finite), {} rejected (zero diagonal), \
-             {} shed (circuit open)\n",
-            self.rejected_nonfinite, self.rejected_zero_diag, self.rejected_circuit_open
+             {} rejected (tolerance), {} shed (circuit open)\n",
+            self.rejected_nonfinite,
+            self.rejected_zero_diag,
+            self.rejected_tolerance,
+            self.rejected_circuit_open
         ));
         out.push_str(&format!(
             "  outcomes : {} converged (bicgstab), {} converged (gmres), \

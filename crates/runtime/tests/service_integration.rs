@@ -9,8 +9,8 @@ use std::time::Duration;
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{
-    BatchItem, BatchReport, ItemOutcome, RuntimeConfig, SolveEngine, SolveError, SolveMethod,
-    SolveRequest, SolveService, SubmitError,
+    BatchItem, BatchReport, ItemOutcome, RejectReason, RuntimeConfig, SolveEngine, SolveError,
+    SolveMethod, SolveRequest, SolveService, SubmitError,
 };
 use batsolv_trace::{EventKind, MemorySink, Tracer, WorkloadClass};
 use batsolv_types::Result;
@@ -411,4 +411,44 @@ fn expired_deadline_emits_an_undispatched_ledger() {
     assert!(expired.queue_us > 0.0, "the wait happened in the queue");
     assert!(expired.balanced_within(1.0), "unbalanced: {expired:?}");
     assert!(ledgers.iter().any(|l| l.outcome != "deadline_exceeded"));
+}
+
+/// The strictest member tolerance stops a whole fused launch, so one
+/// request with a zero, negative, NaN or infinite tolerance would send
+/// every batchmate through GMRES and banded LU. It bounces at submission
+/// instead, and its batchmates solve on rung 1.
+#[test]
+fn bad_tolerance_is_rejected_and_batchmates_stay_on_rung_one() {
+    let workload =
+        XgcWorkload::generate_single_species(VelocityGrid::small(8, 7), Species::ion(), 4, 3)
+            .unwrap();
+    let config = RuntimeConfig::new(DeviceSpec::v100())
+        .with_batch_target(4)
+        .with_linger(Duration::from_millis(50));
+    let service = SolveService::start(Arc::clone(workload.pattern()), config).unwrap();
+    let request = |i: usize| {
+        let sys = workload.system(i);
+        SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec()).with_guess(sys.warm_guess.to_vec())
+    };
+    let mut tickets = Vec::new();
+    for (i, tol) in [0.0, -1e-8, f64::NAN, f64::INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        match service.submit(request(i).with_tolerance(tol)) {
+            Err(SubmitError::Rejected {
+                reason: RejectReason::BadTolerance { .. },
+            }) => {}
+            other => panic!("tolerance {tol}: expected BadTolerance, got {other:?}"),
+        }
+        tickets.push(service.submit(request(i)).unwrap());
+    }
+    let stats = service.shutdown();
+    for t in tickets {
+        let sol = t.wait().expect("ion system must converge");
+        assert_eq!(sol.method, SolveMethod::Bicgstab);
+        assert_eq!(sol.rungs.len(), 1, "batchmates stay on rung 1");
+    }
+    assert_eq!(stats.rejected_tolerance, 4);
+    assert_eq!(stats.accepted, 4);
 }
