@@ -222,7 +222,7 @@ impl FleetSweep {
     }
 
     /// Deterministic gate metrics: the round-robin pass only.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> super::GateMetrics {
         let mut lower = vec![
             ("fleet.makespan_ms".to_string(), self.makespan_ms),
             ("fleet.sim_total_ms".to_string(), self.sim_total_ms),

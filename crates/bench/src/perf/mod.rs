@@ -36,6 +36,10 @@ use batsolv_types::{Error, Result};
 use self::baseline::{Baseline, Regression};
 use self::json::Json;
 
+/// Regression-gate metrics as `(lower-is-better, higher-is-better)`
+/// lists of `(name, value)`.
+pub type GateMetrics = (Vec<(String, f64)>, Vec<(String, f64)>);
+
 /// Median of a sample vector (microseconds); sorts in place.
 pub fn median_us(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty(), "median of empty sample set");
@@ -103,7 +107,7 @@ impl PerfRun {
     }
 
     /// The deterministic gate metrics of this run.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> GateMetrics {
         let (mut lower, mut higher) = self.solve.gate_metrics();
         lower.extend(self.spmv.gate_metrics());
         let (fleet_lower, fleet_higher) = self.fleet.gate_metrics();

@@ -264,7 +264,7 @@ impl PrecondSweep {
     /// Deterministic metrics for the regression gate. Iteration counts,
     /// sync totals, and per-apply pricing are all exact replays of the
     /// device model, so they gate at the default tolerance.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> super::GateMetrics {
         let mut lower = Vec::new();
         let mut higher = Vec::new();
         for c in &self.cells {

@@ -128,15 +128,15 @@ fn cell_from_report(
     }
 }
 
+/// Time `solver` on `a` (labelled `label` on `matrix`) from `guess`
+/// against `rhs`, `reps` times, keeping the last report.
 fn run_one<S, M>(
     device: &DeviceSpec,
     mode: ExecMode,
-    label: &'static str,
-    matrix: &'static str,
+    (label, matrix): (&'static str, &'static str),
     solver: &S,
     a: &M,
-    rhs: &BatchVectors<f64>,
-    guess: &BatchVectors<f64>,
+    (rhs, guess): (&BatchVectors<f64>, &BatchVectors<f64>),
     reps: usize,
 ) -> Result<SolveCell>
 where
@@ -230,7 +230,13 @@ fn run_variants(
         ($name:literal, $matrix:literal, $solver:expr, $a:expr, $rhs:expr, $guess:expr) => {
             if want($name) {
                 cells.push(run_one(
-                    device, mode, $name, $matrix, &$solver, $a, $rhs, $guess, reps,
+                    device,
+                    mode,
+                    ($name, $matrix),
+                    &$solver,
+                    $a,
+                    ($rhs, $guess),
+                    reps,
                 )?);
             }
         };
@@ -241,7 +247,7 @@ fn run_variants(
     variant!(
         "bicgstab",
         "xgc",
-        BatchBicgstab::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        BatchBicgstab::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -249,7 +255,7 @@ fn run_variants(
     variant!(
         "bicgstab-fused",
         "xgc",
-        BatchBicgstab::new(Jacobi, stop.clone())
+        BatchBicgstab::new(Jacobi, stop)
             .with_max_iters(MAX_ITERS)
             .with_fused_axpy(true),
         ell,
@@ -259,7 +265,7 @@ fn run_variants(
     variant!(
         "pipelined-bicgstab",
         "xgc",
-        batsolv_solvers::PipelinedBicgstab::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        batsolv_solvers::PipelinedBicgstab::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -267,7 +273,7 @@ fn run_variants(
     variant!(
         "cgs",
         "xgc",
-        BatchCgs::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        BatchCgs::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -275,7 +281,7 @@ fn run_variants(
     variant!(
         "gmres",
         "xgc",
-        BatchGmres::new(Jacobi, stop.clone(), 30).with_max_iters(MAX_ITERS),
+        BatchGmres::new(Jacobi, stop, 30).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -283,7 +289,7 @@ fn run_variants(
     variant!(
         "richardson",
         "xgc",
-        BatchRichardson::new(Jacobi, stop.clone(), 0.8).with_max_iters(MAX_ITERS),
+        BatchRichardson::new(Jacobi, stop, 0.8).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -299,7 +305,7 @@ fn run_variants(
         variant!(
             "cg",
             "spd-stencil",
-            BatchCg::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+            BatchCg::new(Jacobi, stop).with_max_iters(MAX_ITERS),
             &spd,
             &rhs,
             &guess
@@ -307,7 +313,7 @@ fn run_variants(
         variant!(
             "pipelined-cg",
             "spd-stencil",
-            batsolv_solvers::PipelinedCg::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+            batsolv_solvers::PipelinedCg::new(Jacobi, stop).with_max_iters(MAX_ITERS),
             &spd,
             &rhs,
             &guess
@@ -357,29 +363,25 @@ pub fn run(device: &DeviceSpec, quick: bool, solver_filter: Option<&str>) -> Res
 
     let mut pairs = Vec::new();
     for &batch in pair_batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 99)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 99)?;
         let ell = w.ell()?;
         let solver = BatchBicgstab::new(Jacobi, RelResidual::new(TOL)).with_max_iters(MAX_ITERS);
         let sequential = run_one(
             device,
             ExecMode::Sequential,
-            "bicgstab",
-            "xgc",
+            ("bicgstab", "xgc"),
             &solver,
             &ell,
-            &w.rhs,
-            &w.warm_guess,
+            (&w.rhs, &w.warm_guess),
             reps,
         )?;
         let concurrent = run_one(
             device,
             ExecMode::Concurrent,
-            "bicgstab",
-            "xgc",
+            ("bicgstab", "xgc"),
             &solver,
             &ell,
-            &w.rhs,
-            &w.warm_guess,
+            (&w.rhs, &w.warm_guess),
             reps,
         )?;
         pairs.push(SolvePair {
@@ -391,7 +393,7 @@ pub fn run(device: &DeviceSpec, quick: bool, solver_filter: Option<&str>) -> Res
     let variant_reps = if quick { 2 } else { 3 };
     let mut variants = Vec::new();
     for &batch in variant_batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 99)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 99)?;
         let ell = w.ell()?;
         variants.extend(run_variants(device, &ell, &w, variant_reps, solver_filter)?);
     }
@@ -471,7 +473,7 @@ impl SolveSweep {
     }
 
     /// Deterministic metrics for the regression gate.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> super::GateMetrics {
         let mut lower = Vec::new();
         let mut higher = Vec::new();
         for p in &self.pairs {

@@ -118,7 +118,7 @@ pub fn run(device: &DeviceSpec, quick: bool) -> Result<SpmvSweep> {
     let rows = grid.num_nodes();
     let mut cells = Vec::new();
     for &batch in batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 1234)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 1234)?;
         let csr: &BatchCsr<f64> = &w.matrices;
         let dims = csr.dims();
         let x = BatchVectors::from_fn(dims, |s, r| ((s * 31 + r) as f64 * 0.0137).sin());

@@ -18,18 +18,19 @@ use std::time::{Duration, Instant};
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::{LaunchHook, NoDisruption};
 use batsolv_runtime::{
-    CircuitBreaker, ClassTracker, ClassesSnapshot, DeadlineBudget, LadderEngine, SolveEngine,
-    SolveRequest, SubmitError,
+    percentile_us, BatchItem, BoundedQueue, CircuitBreaker, ClassTracker, ClassesSnapshot,
+    DeadlineBudget, LadderEngine, Phases, PushResult, SolveEngine, SolveRequest, SubmitError,
+    Terminals,
 };
-use batsolv_trace::{EventKind, Tracer};
+use batsolv_trace::EventKind;
 use batsolv_types::Result;
 
 use crate::config::{FleetConfig, HedgeConfig};
 use crate::degrade::DegradeState;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
-use crate::shard::{spawn_shard_worker, ChunkQueue, ShardShared, ShardStats, WorkerCtx};
-use crate::stats::{percentile_us, snapshot_shard, FleetSnapshot};
+use crate::shard::{spawn_shard_worker, ShardShared, ShardStats, WorkerCtx};
+use crate::stats::{snapshot_shard, FleetSnapshot};
 use crate::work::{Chunk, GroupProgress, GroupTicket, OutcomeSlot, Pending};
 
 /// Iteration count assumed by admission-time cost prediction: the
@@ -65,10 +66,9 @@ pub struct FleetService {
     /// Device-model prediction for one full chunk, the admission
     /// feasibility bar for deadline-carrying requests.
     predicted_chunk_cost: Duration,
-    tracer: Tracer,
-    /// Fleet-wide per-class latency/SLO tracker, fed by every winning
-    /// delivery's phase ledger.
-    classes: Arc<ClassTracker>,
+    /// The tracer and the fleet-wide per-class latency/SLO tracker,
+    /// behind the terminal funnel every winning delivery reports through.
+    terminals: Arc<Terminals>,
 }
 
 impl FleetService {
@@ -95,7 +95,12 @@ impl FleetService {
             cfg.max_batch_size,
         );
         let degrade = Arc::new(DegradeState::new(cfg.degrade));
-        let classes = Arc::new(ClassTracker::new());
+        // The fleet has no autotuner: its shards run one fixed ladder.
+        let terminals = Arc::new(Terminals {
+            tracer: cfg.tracer.clone(),
+            classes: ClassTracker::new(),
+            autotune: None,
+        });
         let spec = cfg.profile.spec();
         let predicted_chunk_cost = Duration::from_secs_f64(spec.predict_chunk_seconds(
             pattern.num_rows(),
@@ -110,7 +115,7 @@ impl FleetService {
                     Arc::new(ShardShared {
                         id,
                         device_name: cfg.profile.spec().name,
-                        queue: ChunkQueue::new(cfg.queue_capacity),
+                        queue: BoundedQueue::new(cfg.queue_capacity),
                         stats: ShardStats::new(),
                         breaker: CircuitBreaker::new(cfg.breaker),
                         inflight: Mutex::new(None),
@@ -121,7 +126,7 @@ impl FleetService {
         let cpu = Arc::new(ShardShared {
             id: range.cpu_shard(),
             device_name: batsolv_gpusim::DeviceSpec::skylake_node().name,
-            queue: ChunkQueue::new(cfg.queue_capacity),
+            queue: BoundedQueue::new(cfg.queue_capacity),
             stats: ShardStats::new(),
             breaker: CircuitBreaker::new(cfg.breaker),
             inflight: Mutex::new(None),
@@ -149,12 +154,11 @@ impl FleetService {
                 peers: Arc::clone(&shards),
                 engine,
                 victims,
-                tracer: cfg.tracer.clone(),
+                terminals: Arc::clone(&terminals),
                 retry: cfg.retry,
                 hedge: cfg.hedge,
                 degrade: Arc::clone(&degrade),
                 predicted_chunk_cost,
-                classes: Arc::clone(&classes),
                 is_spill: false,
             }));
         }
@@ -173,12 +177,11 @@ impl FleetService {
             peers: Arc::clone(&shards),
             engine: cpu_engine,
             victims: Vec::new(),
-            tracer: cfg.tracer.clone(),
+            terminals: Arc::clone(&terminals),
             retry: cfg.retry,
             hedge: HedgeConfig::disabled(),
             degrade: Arc::clone(&degrade),
             predicted_chunk_cost,
-            classes: Arc::clone(&classes),
             is_spill: true,
         }));
 
@@ -201,8 +204,7 @@ impl FleetService {
             n: pattern.num_rows(),
             degrade,
             predicted_chunk_cost,
-            tracer: cfg.tracer,
-            classes,
+            terminals,
         })
     }
 
@@ -226,7 +228,33 @@ impl FleetService {
     /// healthy one; only when every GPU shard refuses does the submit
     /// fail with [`SubmitError::CircuitOpen`] (all breakers open) or
     /// [`SubmitError::QueueFull`].
+    ///
+    /// A rejected group counts every one of its systems as rejected and
+    /// emits one `Rejected` event per system, tagged like the service's;
+    /// a refusal during shutdown is not counted as a rejection.
     pub fn submit_group(
+        &self,
+        requests: Vec<SolveRequest>,
+        hint: Option<u32>,
+    ) -> std::result::Result<GroupTicket, SubmitError> {
+        let systems = requests.len();
+        self.place_group(requests, hint).map_err(|e| {
+            if !matches!(e, SubmitError::ShuttingDown) {
+                let reason = e.reason();
+                self.rejected.fetch_add(systems as u64, Ordering::Relaxed);
+                for _ in 0..systems {
+                    self.terminals
+                        .tracer
+                        .emit(None, EventKind::Rejected { reason });
+                }
+            }
+            e
+        })
+    }
+
+    /// Validate, plan and queue one group; every error is a rejection
+    /// of the whole group.
+    fn place_group(
         &self,
         requests: Vec<SolveRequest>,
         hint: Option<u32>,
@@ -243,10 +271,7 @@ impl FleetService {
             });
         }
         for r in &requests {
-            if let Err(e) = r.check(self.nnz, self.n) {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+            r.check(self.nnz, self.n)?;
         }
 
         let _placement = self.submit_lock.lock().unwrap();
@@ -259,7 +284,9 @@ impl FleetService {
         let queued: usize = self.shards.iter().map(|s| s.queue.len()).sum();
         let capacity = (self.range.num_devices() * self.queue_capacity).max(1);
         if let Some((from, to)) = self.degrade.observe(queued as f64 / capacity as f64) {
-            self.tracer.emit(None, EventKind::DegradeShift { from, to });
+            self.terminals
+                .tracer
+                .emit(None, EventKind::DegradeShift { from, to });
         }
 
         // Deadline feasibility: if the device model already prices one
@@ -269,8 +296,6 @@ impl FleetService {
         for r in &requests {
             if let Some(deadline) = r.deadline {
                 if self.predicted_chunk_cost > deadline {
-                    self.rejected
-                        .fetch_add(requests.len() as u64, Ordering::Relaxed);
                     return Err(SubmitError::Infeasible {
                         predicted: self.predicted_chunk_cost,
                         budget: deadline,
@@ -297,8 +322,6 @@ impl FleetService {
             match p.route {
                 Route::CpuPool => {
                     if self.cpu.queue.len() + planned[devices] >= self.queue_capacity {
-                        self.rejected
-                            .fetch_add(requests.len() as u64, Ordering::Relaxed);
                         return Err(SubmitError::QueueFull {
                             capacity: self.queue_capacity,
                         });
@@ -332,8 +355,6 @@ impl FleetService {
                             targets.push(Route::Shard(c));
                         }
                         None => {
-                            self.rejected
-                                .fetch_add(requests.len() as u64, Ordering::Relaxed);
                             return Err(match open_retry {
                                 Some(retry_after) => SubmitError::CircuitOpen { retry_after },
                                 None => SubmitError::QueueFull {
@@ -352,7 +373,6 @@ impl FleetService {
         let total = requests.len();
         let base = self.next_id.fetch_add(total as u64, Ordering::Relaxed);
         let enqueued = Instant::now();
-        let admission_us = enqueued.duration_since(submit_started).as_secs_f64() * 1e6;
         let group = Arc::new(GroupProgress::new(total));
         let mut ids = Vec::with_capacity(total);
         let mut rxs = Vec::with_capacity(total);
@@ -363,21 +383,18 @@ impl FleetService {
             ids.push(id);
             rxs.push(rx);
             pendings.push(Pending {
-                id,
-                values: r.values,
-                rhs: r.rhs,
-                guess: r.guess,
-                tolerance: r.tolerance,
+                item: BatchItem {
+                    id,
+                    values: r.values,
+                    rhs: r.rhs,
+                    guess: r.guess,
+                    tolerance: r.tolerance,
+                },
                 enqueued,
                 budget: r.deadline.map(DeadlineBudget::new),
                 attempt: 1,
                 slot: Arc::new(OutcomeSlot::new(tx)),
-                submitted: submit_started,
-                admission_us,
-                queue_us: 0.0,
-                transit_us: 0.0,
-                backoff_us: 0.0,
-                solve_us: 0.0,
+                phases: Phases::new(submit_started, enqueued, r.deadline.is_some()),
                 group: Arc::clone(&group),
             });
         }
@@ -391,13 +408,13 @@ impl FleetService {
             match target {
                 Route::Shard(s) => {
                     let shard = &self.shards[s as usize];
-                    shard
-                        .queue
-                        .try_push(Chunk { items, origin: s })
-                        .ok()
-                        .expect("planned GPU chunk placement cannot fail");
+                    let pushed = shard.queue.try_push(Chunk { items, origin: s });
+                    assert!(
+                        matches!(pushed, PushResult::Ok),
+                        "planned GPU chunk placement cannot fail"
+                    );
                     self.gpu_chunks.fetch_add(1, Ordering::Relaxed);
-                    self.tracer.emit(
+                    self.terminals.tracer.emit(
                         None,
                         EventKind::ShardDispatch {
                             shard: s,
@@ -408,16 +425,16 @@ impl FleetService {
                     );
                 }
                 Route::CpuPool => {
-                    self.cpu
-                        .queue
-                        .try_push(Chunk {
-                            items,
-                            origin: self.cpu.id,
-                        })
-                        .ok()
-                        .expect("planned CPU chunk placement cannot fail");
+                    let pushed = self.cpu.queue.try_push(Chunk {
+                        items,
+                        origin: self.cpu.id,
+                    });
+                    assert!(
+                        matches!(pushed, PushResult::Ok),
+                        "planned CPU chunk placement cannot fail"
+                    );
                     self.spilled.fetch_add(size as u64, Ordering::Relaxed);
-                    self.tracer.emit(
+                    self.terminals.tracer.emit(
                         None,
                         EventKind::CpuSpill {
                             size,
@@ -454,10 +471,10 @@ impl FleetService {
         let sim_time_total_s =
             shards.iter().map(|s| s.sim_time_s).sum::<f64>() + cpu_pool.sim_time_s;
         FleetSnapshot {
-            wait_p50: percentile_us(&wait_us, 0.50),
-            wait_p99: percentile_us(&wait_us, 0.99),
-            latency_p50: percentile_us(&latency_us, 0.50),
-            latency_p99: percentile_us(&latency_us, 0.99),
+            wait_p50: Duration::from_micros(percentile_us(&wait_us, 0.50)),
+            wait_p99: Duration::from_micros(percentile_us(&wait_us, 0.99)),
+            latency_p50: Duration::from_micros(percentile_us(&latency_us, 0.50)),
+            latency_p99: Duration::from_micros(percentile_us(&latency_us, 0.99)),
             shards,
             cpu_pool,
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -467,13 +484,13 @@ impl FleetService {
             makespan_s,
             sim_time_total_s,
             degrade_level: self.degrade.level(),
-            classes: self.classes.snapshot(),
+            classes: self.terminals.classes.snapshot(),
         }
     }
 
     /// Point-in-time per-workload-class statistics.
     pub fn classes(&self) -> ClassesSnapshot {
-        self.classes.snapshot()
+        self.terminals.classes.snapshot()
     }
 
     /// Render the current snapshot as a Prometheus metrics page with

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use batsolv_runtime::{DeadlineBudget, RequestId, SolveError, SolveOutcome};
+use batsolv_runtime::{BatchItem, DeadlineBudget, Phases, RequestId, SolveError, SolveOutcome};
 
 /// Group-completion tracker for straggler attribution: the winning
 /// delivery that drops `remaining` to zero finished the group, and its
@@ -104,16 +104,9 @@ impl OutcomeSlot {
 /// exactly-once.
 #[derive(Clone)]
 pub(crate) struct Pending {
-    /// Fleet-assigned request id (one namespace across shards).
-    pub id: RequestId,
-    /// CSR values over the fleet's shared pattern.
-    pub values: Vec<f64>,
-    /// Right-hand side.
-    pub rhs: Vec<f64>,
-    /// Optional warm-start guess.
-    pub guess: Option<Vec<f64>>,
-    /// Per-request tolerance override.
-    pub tolerance: Option<f64>,
+    /// The payload as the engine takes it; `item.id` is the
+    /// fleet-assigned request id (one namespace across shards).
+    pub item: BatchItem,
     /// When the system entered a queue (wait measurement). Reset on
     /// retry re-queue so wait samples measure the current hop.
     pub enqueued: Instant,
@@ -126,22 +119,25 @@ pub(crate) struct Pending {
     pub attempt: u32,
     /// Exactly-once outcome channel, shared with any hedge duplicate.
     pub slot: Arc<OutcomeSlot>,
-    /// When the group entered `submit_group` — the end-to-end anchor of
-    /// the phase ledger. Unlike `enqueued`, never reset.
-    pub submitted: Instant,
-    /// Validation and placement-planning time before the system entered
-    /// its first queue, µs.
-    pub admission_us: f64,
-    /// Accumulated first-hop shard-queue wait, µs.
-    pub queue_us: f64,
-    /// Accumulated re-route hop wait (retry re-queues), µs.
-    pub transit_us: f64,
-    /// Accumulated retry backoff slept on this system's behalf, µs.
-    pub backoff_us: f64,
-    /// Wall time burned inside failed prior solve attempts, µs.
-    pub solve_us: f64,
+    /// Wall-phase accumulators of the phase ledger; unlike `enqueued`,
+    /// their `submitted` anchor is never reset.
+    pub phases: Phases,
     /// Group-completion tracker shared by every member.
     pub group: Arc<GroupProgress>,
+}
+
+impl Pending {
+    /// Move the payload out for the engine, leaving the id behind.
+    pub fn take_item(&mut self) -> BatchItem {
+        let id = self.item.id;
+        std::mem::replace(
+            &mut self.item,
+            BatchItem {
+                id,
+                ..BatchItem::default()
+            },
+        )
+    }
 }
 
 /// A routed unit of execution: the systems of one placement, tagged

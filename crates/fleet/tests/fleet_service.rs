@@ -9,7 +9,7 @@ use batsolv_fleet::{DeviceProfile, FleetConfig, FleetService};
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::{LaunchDisruption, LaunchHook, NoDisruption};
 use batsolv_runtime::{BreakerConfig, SolveRequest, SubmitError};
-use batsolv_trace::parse_prom_value;
+use batsolv_trace::{parse_prom_value, EventKind, FlightRecorder, MemorySink, Tracer};
 
 fn dominant_values(pattern: &SparsityPattern) -> Vec<f64> {
     (0..pattern.num_rows())
@@ -95,7 +95,7 @@ fn submit_is_atomic_on_rejection() {
     }
     let snap = service.shutdown();
     assert_eq!(snap.accepted, 0, "rejected groups queued nothing");
-    assert_eq!(snap.rejected, 1);
+    assert_eq!(snap.rejected, 4);
 }
 
 #[test]
@@ -107,6 +107,8 @@ fn dispatch_walks_past_a_tripped_breaker() {
             LaunchDisruption::DeviceFail { code: "dead" }
         }
     }
+    let sink = Arc::new(MemorySink::new());
+    let recorder = Arc::new(FlightRecorder::new(256));
     let cfg = FleetConfig::new(2)
         .with_min_batch_size(2)
         .with_max_batch_size(8)
@@ -116,7 +118,11 @@ fn dispatch_walks_past_a_tripped_breaker() {
             cooldown: Duration::from_secs(60),
             max_backoff: Duration::from_secs(60),
             degraded_fraction: 0.5,
-        });
+        })
+        .with_tracer(Tracer::with_flight_recorder(
+            sink.clone(),
+            Arc::clone(&recorder),
+        ));
     let hooks: Vec<Arc<dyn LaunchHook>> = vec![Arc::new(AlwaysFail), Arc::new(NoDisruption)];
     let service = FleetService::start_with_hooks(Arc::clone(&pattern), cfg, hooks).unwrap();
 
@@ -139,6 +145,19 @@ fn dispatch_walks_past_a_tripped_breaker() {
     assert!(snap.shards[0].breaker_open, "shard 0 still cooling down");
     assert_eq!(snap.shards[0].breaker_trips, 1);
     assert_eq!(snap.shards[1].completed, 4);
+
+    // The trip froze the flight recorder, as a service trip does.
+    let dump = recorder
+        .last_dump()
+        .expect("a fleet breaker trip must dump the flight recorder");
+    assert_eq!(dump.reason, "breaker_trip");
+    assert!(sink.snapshot().iter().any(|e| matches!(
+        e.kind,
+        EventKind::FlightDump {
+            reason: "breaker_trip",
+            ..
+        }
+    )));
 }
 
 #[test]
@@ -217,8 +236,9 @@ fn start_rejects_a_ladder_that_fails_every_chunk() {
     use batsolv_runtime::{LadderConfig, PrecondVariant};
     use batsolv_types::Error;
 
+    type Spoil = fn(&mut LadderConfig);
     let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
-    let cases: [(&str, fn(&mut LadderConfig)); 7] = [
+    let cases: [(&str, Spoil); 7] = [
         ("block-jacobi:0", |l| {
             l.precond = PrecondVariant::BlockJacobi(0)
         }),

@@ -82,6 +82,7 @@ pub mod request;
 pub mod reservoir;
 pub mod service;
 pub mod stats;
+pub mod terminal;
 pub mod watchdog;
 
 pub use admission::{AdmissionGate, RejectReason};
@@ -107,4 +108,5 @@ pub use request::{
 pub use reservoir::{percentile_us, Reservoir, DEFAULT_RESERVOIR_CAPACITY};
 pub use service::SolveService;
 pub use stats::{StatsRegistry, StatsSnapshot};
+pub use terminal::{panic_detail, settle, Phases, Terminals};
 pub use watchdog::{spawn_watchdog, WatchState};

@@ -322,8 +322,9 @@ mod tests {
         let r = StatsRegistry::new();
         r.on_accepted();
         r.on_accepted();
-        r.on_rejected_full();
-        r.on_breaker_trip();
+        r.on_rejected("queue_full");
+        r.breaker_trips
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         r.on_batch(
             2,
             &[Duration::from_micros(40), Duration::from_micros(60)],

@@ -1,13 +1,14 @@
-//! Bounded submission queue with explicit backpressure.
+//! Bounded queue with explicit backpressure: the service's submission
+//! queue and every fleet shard's chunk queue.
 //!
 //! `Mutex<VecDeque>` + `Condvar` rather than a channel: submitters need
 //! an immediate full/not-full answer (never blocking, never dropping),
-//! and the single consumer needs a timed wait so it can wake up for
-//! linger deadlines.
+//! the consumer needs a timed wait so it can wake up for linger
+//! deadlines, and idle fleet peers need a non-blocking steal.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of a non-blocking push.
 #[derive(Debug, PartialEq, Eq)]
@@ -31,13 +32,17 @@ pub enum PopResult<T> {
     Closed,
 }
 
+/// Why a queue lock can fail: a holder panicked mid-operation.
+const POISONED: &str = "a queue operation panicked while holding the lock";
+
 #[derive(Debug)]
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded MPSC queue: many submitters, one consumer.
+/// A bounded FIFO queue: many submitters, one consumer, and any number
+/// of thieves taking the oldest item through [`BoundedQueue::try_pop`].
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
@@ -64,12 +69,12 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Current depth (racy by nature; for stats only).
+    /// Current depth (racy by nature: a hint for stats and placement).
     pub fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
-    /// Whether the queue is currently empty (racy; for stats only).
+    /// Whether the queue is currently empty (racy, like `len`).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -93,7 +98,9 @@ impl<T> BoundedQueue<T> {
     /// Dequeue, waiting up to `timeout` for an item. Items still queued
     /// after close are drained before `Closed` is reported.
     pub fn pop_wait(&self, timeout: Duration) -> PopResult<T> {
-        let mut st = self.state.lock().unwrap();
+        // A year stands in for "forever" without overflowing the clock.
+        let deadline = Instant::now() + timeout.min(Duration::from_secs(365 * 86_400));
+        let mut st = self.state.lock().expect(POISONED);
         loop {
             if let Some(item) = st.items.pop_front() {
                 return PopResult::Item(item);
@@ -101,19 +108,21 @@ impl<T> BoundedQueue<T> {
             if st.closed {
                 return PopResult::Closed;
             }
-            if timeout.is_zero() {
+            let now = Instant::now();
+            if now >= deadline {
                 return PopResult::TimedOut;
             }
-            let (next, res) = self.available.wait_timeout(st, timeout).unwrap();
-            st = next;
-            if res.timed_out() {
-                return match st.items.pop_front() {
-                    Some(item) => PopResult::Item(item),
-                    None if st.closed => PopResult::Closed,
-                    None => PopResult::TimedOut,
-                };
-            }
+            st = self
+                .available
+                .wait_timeout(st, deadline - now)
+                .expect(POISONED)
+                .0;
         }
+    }
+
+    /// Dequeue the oldest item without waiting (a fleet peer's steal).
+    pub fn try_pop(&self) -> Option<T> {
+        self.state.lock().expect(POISONED).items.pop_front()
     }
 
     /// Close the queue: submitters are rejected from now on, the
@@ -177,5 +186,43 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(handle.join().unwrap(), PopResult::Closed);
+    }
+
+    #[test]
+    fn queue_backpressure_and_drain_on_close() {
+        let q = BoundedQueue::new(2);
+        assert_eq!(q.try_push(0), PushResult::Ok);
+        assert_eq!(q.try_push(0), PushResult::Ok);
+        assert_eq!(q.try_push(0), PushResult::Full(0), "full queue rejects");
+        q.close();
+        assert_eq!(q.try_push(0), PushResult::Closed(0), "closed queue rejects");
+        // Drain-first: both queued items come out before Closed.
+        let wait = Duration::from_millis(1);
+        assert_eq!(q.pop_wait(wait), PopResult::Item(0));
+        assert_eq!(q.pop_wait(wait), PopResult::Item(0));
+        assert_eq!(q.pop_wait(wait), PopResult::Closed);
+    }
+
+    #[test]
+    fn steal_takes_the_oldest_chunk() {
+        let q = BoundedQueue::new(8);
+        assert_eq!(q.try_push(7), PushResult::Ok);
+        assert_eq!(q.try_push(9), PushResult::Ok);
+        assert_eq!(q.try_pop(), Some(7), "FIFO steal");
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn empty_steal_returns_none() {
+        let q = BoundedQueue::<u32>::new(1);
+        assert!(q.try_pop().is_none());
+    }
+
+    #[test]
+    fn timed_wait_times_out_on_an_empty_queue() {
+        let q = BoundedQueue::<u32>::new(1);
+        let started = Instant::now();
+        assert_eq!(q.pop_wait(Duration::from_millis(20)), PopResult::TimedOut);
+        assert!(started.elapsed() >= Duration::from_millis(20));
     }
 }

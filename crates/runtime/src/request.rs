@@ -297,6 +297,25 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+impl SubmitError {
+    /// The reason tag of the `Rejected` trace event and of the
+    /// per-reason reject counters, shared by every serving stack.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            SubmitError::QueueFull { .. } => "queue_full",
+            SubmitError::ShapeMismatch { .. } => "shape",
+            SubmitError::Rejected { reason } => match reason {
+                RejectReason::NonFinite { .. } => "nonfinite",
+                RejectReason::ZeroDiagonal { .. } => "zero_diag",
+                RejectReason::BadTolerance { .. } => "tolerance",
+            },
+            SubmitError::CircuitOpen { .. } => "circuit_open",
+            SubmitError::Infeasible { .. } => "infeasible",
+            SubmitError::ShuttingDown => "shutting_down",
+        }
+    }
+}
+
 impl std::error::Error for SubmitError {}
 
 /// Handle returned by a successful submission; redeem it for the

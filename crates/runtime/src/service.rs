@@ -18,19 +18,20 @@ use std::time::{Duration, Instant};
 
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::LaunchHook;
-use batsolv_trace::{classify, EventKind, PhaseLedger, Tracer};
+use batsolv_trace::EventKind;
 use batsolv_types::{Error, Result};
 
-use crate::admission::{AdmissionGate, RejectReason};
+use crate::admission::AdmissionGate;
 use crate::autotune::AutoTuner;
 use crate::breaker::CircuitBreaker;
 use crate::classes::{ClassTracker, ClassesSnapshot};
 use crate::config::RuntimeConfig;
-use crate::dispatcher::{BatchItem, LadderEngine, SimSplit, SolveEngine};
+use crate::dispatcher::{BatchItem, ItemOutcome, LadderEngine, SimSplit, SolveEngine};
 use crate::former::{BatchFormer, FlushReason};
 use crate::queue::{BoundedQueue, PopResult, PushResult};
-use crate::request::{Solution, SolveError, SolveOutcome, SolveRequest, SubmitError, Ticket};
+use crate::request::{SolveError, SolveMethod, SolveOutcome, SolveRequest, SubmitError, Ticket};
 use crate::stats::{BatchOutcomes, StatsRegistry, StatsSnapshot};
+use crate::terminal::{panic_detail, settle, Phases, Terminals};
 use crate::watchdog::{spawn_watchdog, WatchState};
 
 /// A request as it travels through the queue and former.
@@ -38,84 +39,21 @@ struct Pending {
     item: BatchItem,
     deadline: Option<Duration>,
     enqueued_at: Instant,
-    /// Time spent in admission (shape/finiteness/breaker checks) before
-    /// the request entered the queue.
-    admission: Duration,
-    /// When the worker popped it from the queue (queue→linger boundary).
-    popped_at: Option<Instant>,
+    phases: Phases,
     reply: mpsc::Sender<SolveOutcome>,
 }
 
 struct Shared {
     queue: BoundedQueue<Pending>,
     stats: StatsRegistry,
-    classes: ClassTracker,
+    /// The tracer, the class tracker and the autotuner, behind the one
+    /// funnel every terminal outcome passes through.
+    terminals: Terminals,
     watch: Arc<WatchState>,
     breaker: Option<CircuitBreaker>,
-    tracer: Tracer,
-    /// Telemetry autotuner, when the config enables one. Observes every
-    /// terminal convergence record through [`record_terminal`].
-    autotune: Option<AutoTuner>,
     /// Monotonic batch sequence; lives here (not in the worker) so it
     /// survives worker respawns.
     batch_seq: AtomicU64,
-}
-
-/// Build one request's phase ledger at its terminal moment. The wall
-/// phases partition `[submit, now]`: admission, queue wait, linger
-/// (pop → dispatch), solve (dispatch → delivery), and `other` absorbs
-/// the residual so the phase-sum invariant holds exactly. The `sim_*`
-/// fields carry the per-item share of the dispatch's simulated solve
-/// split — a separate clock reported alongside the wall phases.
-#[allow(clippy::too_many_arguments)]
-fn build_ledger(
-    p: &Pending,
-    outcome: &'static str,
-    iterations: u32,
-    converged: bool,
-    dispatched_at: Option<Instant>,
-    sim: Option<&SimSplit>,
-    straggler: bool,
-    now: Instant,
-) -> PhaseLedger {
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
-    let mut ledger = PhaseLedger {
-        outcome,
-        class: classify(iterations, converged),
-        iterations,
-        straggler,
-        deadline: p.deadline.map(|_| outcome != "deadline_exceeded"),
-        end_to_end_us: us(now.saturating_duration_since(p.enqueued_at) + p.admission),
-        admission_us: us(p.admission),
-        ..PhaseLedger::default()
-    };
-    let queue_end = p.popped_at.unwrap_or(now).min(now);
-    ledger.queue_us = us(queue_end.saturating_duration_since(p.enqueued_at));
-    if let (Some(popped), Some(dispatched)) = (p.popped_at, dispatched_at) {
-        ledger.linger_us = us(dispatched.saturating_duration_since(popped));
-        ledger.solve_us = us(now.saturating_duration_since(dispatched));
-    }
-    if let Some(sim) = sim {
-        ledger.sim_spmv_us = sim.spmv_us;
-        ledger.sim_reduction_us = sim.reduction_us;
-        ledger.sim_sync_us = sim.sync_us;
-        ledger.sim_transfer_us = sim.transfer_us;
-    }
-    ledger.close();
-    ledger
-}
-
-/// Emit the ledger event and feed the class tracker and autotuner — the
-/// single point every terminal outcome funnels through.
-fn record_terminal(shared: &Shared, id: u64, ledger: PhaseLedger) {
-    shared.classes.observe_ledger(Some(id), &ledger);
-    if let Some(tuner) = &shared.autotune {
-        let converged = ledger.outcome.starts_with("converged");
-        if let Some(decision) = tuner.observe(ledger.class, ledger.iterations, converged) {
-            shared.tracer.emit(None, decision.to_event());
-        }
-    }
-    shared.tracer.emit(Some(id), EventKind::Ledger(ledger));
 }
 
 /// Multi-threaded dynamic-batching solve service.
@@ -176,11 +114,13 @@ impl SolveService {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             stats: StatsRegistry::new(),
-            classes: ClassTracker::new(),
+            terminals: Terminals {
+                tracer: config.tracer.clone(),
+                classes: ClassTracker::new(),
+                autotune: config.autotune.map(AutoTuner::new),
+            },
             watch: Arc::new(WatchState::new()),
             breaker: config.breaker.map(CircuitBreaker::new),
-            tracer: config.tracer.clone(),
-            autotune: config.autotune.map(AutoTuner::new),
             batch_seq: AtomicU64::new(0),
         });
         shared.stats.set_solver(config.ladder.solver.name());
@@ -199,12 +139,11 @@ impl SolveService {
                 Arc::clone(&watchdog_stop),
                 move || {
                     stats_shared.stats.on_watchdog_stall();
-                    stats_shared
-                        .tracer
-                        .emit(None, EventKind::WatchdogStall { budget_us });
+                    let tracer = &stats_shared.terminals.tracer;
+                    tracer.emit(None, EventKind::WatchdogStall { budget_us });
                     // A stalled dispatch is exactly the moment the recent
                     // event history matters: freeze it.
-                    let _ = stats_shared.tracer.dump_flight("watchdog_stall");
+                    let _ = tracer.dump_flight("watchdog_stall");
                 },
             )
         });
@@ -255,40 +194,12 @@ impl SolveService {
                 None => Ok(()),
             });
         if let Err(e) = admitted {
-            let stats = &self.shared.stats;
-            let reason = match &e {
-                SubmitError::Rejected { reason } => match reason {
-                    RejectReason::NonFinite { .. } => {
-                        stats.on_rejected_nonfinite();
-                        "nonfinite"
-                    }
-                    RejectReason::ZeroDiagonal { .. } => {
-                        stats.on_rejected_zero_diag();
-                        "zero_diag"
-                    }
-                    RejectReason::BadTolerance { .. } => {
-                        stats.on_rejected_tolerance();
-                        "tolerance"
-                    }
-                },
-                SubmitError::CircuitOpen { .. } => {
-                    stats.on_rejected_circuit_open();
-                    "circuit_open"
-                }
-                // The only other error `check` returns.
-                _ => {
-                    stats.on_rejected_shape();
-                    "shape"
-                }
-            };
-            self.shared
-                .tracer
-                .emit(None, EventKind::Rejected { reason });
-            return Err(e);
+            return Err(self.reject(e));
         }
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
+        let enqueued_at = Instant::now();
         let pending = Pending {
             item: BatchItem {
                 id,
@@ -298,33 +209,35 @@ impl SolveService {
                 tolerance: request.tolerance,
             },
             deadline: request.deadline,
-            enqueued_at: Instant::now(),
-            admission: submit_started.elapsed(),
-            popped_at: None,
+            enqueued_at,
+            phases: Phases::new(submit_started, enqueued_at, request.deadline.is_some()),
             reply: tx,
         };
         match self.shared.queue.try_push(pending) {
             PushResult::Ok => {
                 self.shared.stats.on_accepted();
                 self.shared
+                    .terminals
                     .tracer
                     .emit(Some(id), EventKind::Submitted { n });
                 Ok(Ticket { id, rx })
             }
-            PushResult::Full(_) => {
-                self.shared.stats.on_rejected_full();
-                self.shared.tracer.emit(
-                    Some(id),
-                    EventKind::Rejected {
-                        reason: "queue_full",
-                    },
-                );
-                Err(SubmitError::QueueFull {
-                    capacity: self.shared.queue.capacity(),
-                })
-            }
+            PushResult::Full(_) => Err(self.reject(SubmitError::QueueFull {
+                capacity: self.shared.queue.capacity(),
+            })),
             PushResult::Closed(_) => Err(SubmitError::ShuttingDown),
         }
+    }
+
+    /// Count a rejected submission and emit its `Rejected` event.
+    fn reject(&self, e: SubmitError) -> SubmitError {
+        let reason = e.reason();
+        self.shared.stats.on_rejected(reason);
+        self.shared
+            .terminals
+            .tracer
+            .emit(None, EventKind::Rejected { reason });
+        e
     }
 
     /// Point-in-time copy of the service counters.
@@ -334,13 +247,14 @@ impl SolveService {
 
     /// Point-in-time per-workload-class latency/SLO statistics.
     pub fn classes(&self) -> ClassesSnapshot {
-        self.shared.classes.snapshot()
+        self.shared.terminals.classes.snapshot()
     }
 
     /// Current autotuner per-class choices (empty when autotuning is
     /// disabled or no terminal outcome has been observed yet).
     pub fn autotune_choices(&self) -> Vec<batsolv_trace::AutotuneChoice> {
         self.shared
+            .terminals
             .autotune
             .as_ref()
             .map(AutoTuner::choices)
@@ -402,7 +316,7 @@ fn supervisor_loop(shared: Arc<Shared>, config: RuntimeConfig, engine: Arc<dyn S
                 // (a bug, or chaos injected outside dispatch). Respawn
                 // the loop; everything still in `former` re-dispatches.
                 shared.stats.on_worker_respawn();
-                shared.tracer.emit(None, EventKind::WorkerRespawn);
+                shared.terminals.tracer.emit(None, EventKind::WorkerRespawn);
             }
         }
     }
@@ -419,6 +333,12 @@ fn worker_loop(
     let now_ns = |at: Instant| -> u64 {
         u64::try_from(at.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
     };
+    // Popping ends the queue phase; the former's linger clock starts.
+    let admit = |former: &mut BatchFormer<Pending>, mut p: Pending| {
+        p.phases.queue = p.enqueued_at.elapsed();
+        let stamp = now_ns(p.enqueued_at.max(epoch));
+        former.push(p, stamp);
+    };
 
     'outer: loop {
         // Sleep until the oldest pending request's linger deadline, or
@@ -431,21 +351,15 @@ fn worker_loop(
             None => Duration::from_millis(100),
         };
         match shared.queue.pop_wait(timeout) {
-            PopResult::Item(mut p) => {
-                p.popped_at = Some(Instant::now());
-                let stamp = now_ns(p.enqueued_at.max(epoch));
-                former.push(p, stamp);
+            PopResult::Item(p) => {
+                admit(former, p);
                 // Greedily drain the backlog that piled up while the
                 // previous batch was solving: without this, requests
                 // already past their linger age would be flushed one at
                 // a time instead of fused into full batches.
                 while former.len() < config.batch_target {
                     match shared.queue.pop_wait(Duration::ZERO) {
-                        PopResult::Item(mut p) => {
-                            p.popped_at = Some(Instant::now());
-                            let stamp = now_ns(p.enqueued_at.max(epoch));
-                            former.push(p, stamp);
-                        }
+                        PopResult::Item(p) => admit(former, p),
                         _ => break,
                     }
                 }
@@ -469,7 +383,8 @@ fn worker_loop(
 /// Emit the batch-formed event with a sequence number that survives
 /// worker respawns.
 fn trace_batch_formed(shared: &Shared, size: usize, reason: FlushReason) {
-    if !shared.tracer.is_enabled() {
+    let tracer = &shared.terminals.tracer;
+    if !tracer.is_enabled() {
         return;
     }
     let seq = shared.batch_seq.fetch_add(1, Ordering::Relaxed);
@@ -478,9 +393,7 @@ fn trace_batch_formed(shared: &Shared, size: usize, reason: FlushReason) {
         FlushReason::LingerExpired => "linger",
         FlushReason::Drain => "drain",
     };
-    shared
-        .tracer
-        .emit(None, EventKind::BatchFormed { seq, size, reason });
+    tracer.emit(None, EventKind::BatchFormed { seq, size, reason });
 }
 
 /// Solve one formed batch and fulfill its tickets.
@@ -489,37 +402,17 @@ fn dispatch(shared: &Shared, engine: &dyn SolveEngine, batch: Vec<Pending>) {
     // Enforce queue-wait deadlines at the last moment before the solve:
     // expired requests get a structured error, not a wasted solve slot.
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-    for p in batch {
-        let waited = p.enqueued_at.elapsed();
+    for mut p in batch {
+        let waited = dispatched_at.saturating_duration_since(p.enqueued_at);
         match p.deadline {
             Some(deadline) if waited > deadline => {
                 shared.stats.on_deadline_exceeded();
-                shared.tracer.emit(
-                    Some(p.item.id),
-                    EventKind::Terminal {
-                        outcome: "deadline_exceeded",
-                        iterations: 0,
-                        residual: f64::NAN,
-                        rungs: 0,
-                    },
-                );
-                let ledger = build_ledger(
-                    &p,
-                    "deadline_exceeded",
-                    0,
-                    false,
-                    None,
-                    None,
-                    false,
-                    Instant::now(),
-                );
-                record_terminal(shared, p.item.id, ledger);
-                let _ = p
-                    .reply
-                    .send(Err(SolveError::DeadlineExceeded { waited, deadline }));
+                let expired = Err(SolveError::DeadlineExceeded { waited, deadline });
+                finish(shared, p, None, ("deadline_exceeded", expired), None, false);
             }
             _ => {
-                shared.tracer.emit(
+                p.phases.linger = waited.saturating_sub(p.phases.queue);
+                shared.terminals.tracer.emit(
                     Some(p.item.id),
                     EventKind::Dequeued {
                         wait_us: u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
@@ -565,37 +458,42 @@ fn run_batch(
                 dispatched_at,
             )
         }
-        Ok(Err(Error::DeviceFailure { code })) => {
-            if batch_size > 1 {
-                for p in live {
-                    run_batch(shared, engine, vec![p], dispatched_at);
-                }
-            } else {
-                note_degraded_batch(shared, 1);
-                for p in live {
-                    shared.stats.on_device_failure();
-                    shared.tracer.emit(
-                        Some(p.item.id),
-                        EventKind::Terminal {
-                            outcome: "device_failure",
-                            iterations: 0,
-                            residual: f64::NAN,
-                            rungs: 0,
-                        },
-                    );
-                    let ledger = build_ledger(
-                        &p,
-                        "device_failure",
-                        0,
-                        false,
-                        Some(dispatched_at),
-                        None,
-                        false,
-                        Instant::now(),
-                    );
-                    record_terminal(shared, p.item.id, ledger);
-                    let _ = p.reply.send(Err(SolveError::DeviceFailure { code }));
-                }
+        Ok(Err(Error::DeviceFailure { code })) if batch_size == 1 => {
+            note_health(shared, 1, 1);
+            for p in live {
+                shared.stats.on_device_failure();
+                let failed = Err(SolveError::DeviceFailure { code });
+                finish(
+                    shared,
+                    p,
+                    Some(dispatched_at),
+                    ("device_failure", failed),
+                    None,
+                    false,
+                );
+            }
+        }
+        Err(payload) if batch_size == 1 => {
+            note_health(shared, 1, 1);
+            let detail = panic_detail(payload);
+            for p in live {
+                shared.stats.on_worker_panic_outcome();
+                let failed = Err(SolveError::WorkerPanic {
+                    detail: detail.clone(),
+                });
+                finish(
+                    shared,
+                    p,
+                    Some(dispatched_at),
+                    ("worker_panic", failed),
+                    None,
+                    false,
+                );
+            }
+        }
+        Ok(Err(Error::DeviceFailure { .. })) | Err(_) => {
+            for p in live {
+                run_batch(shared, engine, vec![p], dispatched_at);
             }
         }
         Ok(Err(e)) => {
@@ -605,35 +503,23 @@ fn run_batch(
                 Error::DimensionMismatch(_) => "engine dimension mismatch",
                 _ => "engine failure",
             };
-            let waits: Vec<Duration> = live.iter().map(|p| p.enqueued_at.elapsed()).collect();
+            let waits = queue_waits(&live, dispatched_at);
             let failed = live.len() as u64;
             for p in live {
-                shared.tracer.emit(
-                    Some(p.item.id),
-                    EventKind::Terminal {
-                        outcome: "engine_failure",
-                        iterations: 0,
-                        residual: f64::NAN,
-                        rungs: 0,
-                    },
-                );
-                let ledger = build_ledger(
-                    &p,
-                    "engine_failure",
-                    0,
-                    false,
-                    Some(dispatched_at),
-                    None,
-                    false,
-                    Instant::now(),
-                );
-                record_terminal(shared, p.item.id, ledger);
-                let _ = p.reply.send(Err(SolveError::NotConverged {
+                let outcome = Err(SolveError::NotConverged {
                     iterations: 0,
                     residual: f64::NAN,
                     breakdown: Some(msg),
                     rungs: vec![],
-                }));
+                });
+                finish(
+                    shared,
+                    p,
+                    Some(dispatched_at),
+                    ("engine_failure", outcome),
+                    None,
+                    false,
+                );
             }
             shared.stats.on_batch(
                 batch_size,
@@ -646,59 +532,31 @@ fn run_batch(
                 },
                 0.0,
             );
-            note_degraded_batch(shared, batch_size);
-        }
-        Err(payload) => {
-            if batch_size > 1 {
-                for p in live {
-                    run_batch(shared, engine, vec![p], dispatched_at);
-                }
-            } else {
-                note_degraded_batch(shared, 1);
-                let detail = panic_detail(payload);
-                for p in live {
-                    shared.stats.on_worker_panic_outcome();
-                    shared.tracer.emit(
-                        Some(p.item.id),
-                        EventKind::Terminal {
-                            outcome: "worker_panic",
-                            iterations: 0,
-                            residual: f64::NAN,
-                            rungs: 0,
-                        },
-                    );
-                    let ledger = build_ledger(
-                        &p,
-                        "worker_panic",
-                        0,
-                        false,
-                        Some(dispatched_at),
-                        None,
-                        false,
-                        Instant::now(),
-                    );
-                    record_terminal(shared, p.item.id, ledger);
-                    let _ = p.reply.send(Err(SolveError::WorkerPanic {
-                        detail: detail.clone(),
-                    }));
-                }
-            }
+            note_health(shared, batch_size, batch_size);
         }
     }
+}
+
+/// Each request's queue wait, measured at dispatch: queue plus linger,
+/// never the solve that follows.
+fn queue_waits(live: &[Pending], dispatched_at: Instant) -> Vec<Duration> {
+    live.iter()
+        .map(|p| dispatched_at.saturating_duration_since(p.enqueued_at))
+        .collect()
 }
 
 /// Deliver per-item outcomes and record the batch in stats + breaker.
 fn fulfill(
     shared: &Shared,
     live: Vec<Pending>,
-    outcomes: Vec<crate::dispatcher::ItemOutcome>,
+    outcomes: Vec<ItemOutcome>,
     sim_time_s: f64,
     split: SimSplit,
     dispatched_at: Instant,
 ) {
     let batch_size = live.len();
     debug_assert_eq!(outcomes.len(), batch_size);
-    let waits: Vec<Duration> = live.iter().map(|p| p.enqueued_at.elapsed()).collect();
+    let waits = queue_waits(&live, dispatched_at);
     let iterations: Vec<u32> = outcomes.iter().map(|o| o.iterations).collect();
     // Straggler attribution: the fused launch runs until its slowest
     // member converges, so the member with the most iterations set the
@@ -711,105 +569,62 @@ fn fulfill(
     let item_sim = split.per_item(batch_size);
     let mut tally = BatchOutcomes::default();
     let mut degraded = 0usize;
-    for (idx, (p, o)) in live.into_iter().zip(outcomes).enumerate() {
-        let wait = p.enqueued_at.elapsed();
+    for (idx, ((p, o), &wait)) in live.into_iter().zip(outcomes).zip(&waits).enumerate() {
         tally.rungs_attempted.push(o.rungs.len());
-        let outcome_tag = if o.converged {
-            match o.method {
-                crate::request::SolveMethod::Bicgstab => "converged_bicgstab",
-                crate::request::SolveMethod::Gmres => "converged_gmres",
-                crate::request::SolveMethod::BandedLuFallback => "converged_banded_lu",
+        match (o.converged, o.method) {
+            (false, _) => {
+                tally.failed += 1;
+                degraded += 1;
+                tally.breakdowns.extend(o.breakdown);
             }
-        } else {
-            "not_converged"
-        };
-        shared.tracer.emit(
-            Some(o.id),
-            EventKind::Terminal {
-                outcome: outcome_tag,
-                iterations: o.iterations,
-                residual: o.residual,
-                rungs: o.rungs.len(),
-            },
-        );
-        let ledger = build_ledger(
-            &p,
-            outcome_tag,
-            o.iterations,
-            o.converged,
+            (true, SolveMethod::Bicgstab) => tally.converged_iterative += 1,
+            (true, SolveMethod::Gmres) => tally.converged_gmres += 1,
+            (true, SolveMethod::BandedLuFallback) => {
+                tally.converged_fallback += 1;
+                degraded += 1;
+            }
+        }
+        let straggler = straggler_idx == Some(idx) && batch_size > 1;
+        let settled = settle(o, batch_size, wait);
+        finish(
+            shared,
+            p,
             Some(dispatched_at),
+            settled,
             Some(&item_sim),
-            straggler_idx == Some(idx) && batch_size > 1,
-            Instant::now(),
+            straggler,
         );
-        record_terminal(shared, o.id, ledger);
-        let outcome = if o.converged {
-            match o.method {
-                crate::request::SolveMethod::Bicgstab => tally.converged_iterative += 1,
-                crate::request::SolveMethod::Gmres => tally.converged_gmres += 1,
-                crate::request::SolveMethod::BandedLuFallback => {
-                    tally.converged_fallback += 1;
-                    degraded += 1;
-                }
-            }
-            Ok(Solution {
-                x: o.x,
-                iterations: o.iterations,
-                residual: o.residual,
-                method: o.method,
-                batch_size,
-                queue_wait: wait,
-                rungs: o.rungs,
-            })
-        } else {
-            tally.failed += 1;
-            degraded += 1;
-            if let Some(tag) = o.breakdown {
-                tally.breakdowns.push(tag);
-            }
-            Err(SolveError::NotConverged {
-                iterations: o.iterations,
-                residual: o.residual,
-                breakdown: o.breakdown,
-                rungs: o.rungs,
-            })
-        };
-        let _ = p.reply.send(outcome);
     }
     shared
         .stats
         .on_batch(batch_size, &waits, &iterations, tally, sim_time_s);
-    if let Some(breaker) = &shared.breaker {
-        if breaker.on_batch(Instant::now(), batch_size, degraded) {
-            note_breaker_trip(shared);
-        }
+    note_health(shared, batch_size, degraded);
+}
+
+/// Report `p`'s terminal outcome through the funnel, then deliver it.
+/// A dispatched request's solve phase runs from `dispatched_at` to now.
+fn finish(
+    shared: &Shared,
+    mut p: Pending,
+    dispatched_at: Option<Instant>,
+    (tag, outcome): (&'static str, SolveOutcome),
+    sim: Option<&SimSplit>,
+    straggler: bool,
+) {
+    if let Some(at) = dispatched_at {
+        p.phases.solve = at.elapsed();
     }
+    shared
+        .terminals
+        .record(p.item.id, &p.phases, tag, &outcome, sim, straggler);
+    let _ = p.reply.send(outcome);
 }
 
-/// Report a fully-degraded batch (device failure, panic, engine error)
-/// to the breaker.
-fn note_degraded_batch(shared: &Shared, size: usize) {
+/// Report a batch's health (`degraded` of `size` members) to the breaker.
+fn note_health(shared: &Shared, size: usize, degraded: usize) {
     if let Some(breaker) = &shared.breaker {
-        if breaker.on_batch(Instant::now(), size, size) {
-            note_breaker_trip(shared);
-        }
-    }
-}
-
-/// Count a breaker trip and freeze the event history that led to it.
-fn note_breaker_trip(shared: &Shared) {
-    shared.stats.on_breaker_trip();
-    shared.tracer.emit(None, EventKind::BreakerTrip);
-    let _ = shared.tracer.dump_flight("breaker_trip");
-}
-
-/// Best-effort panic payload text.
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        shared
+            .terminals
+            .feed_breaker(breaker, size, degraded, &shared.stats.breaker_trips);
     }
 }

@@ -61,7 +61,10 @@ pub struct StatsRegistry {
     failed_device: AtomicU64,
     failed_panic: AtomicU64,
     batches_formed: AtomicU64,
-    breaker_trips: AtomicU64,
+    /// Breaker trips, counted by [`Terminals::feed_breaker`].
+    ///
+    /// [`Terminals::feed_breaker`]: crate::Terminals::feed_breaker
+    pub(crate) breaker_trips: AtomicU64,
     watchdog_stalls: AtomicU64,
     worker_respawns: AtomicU64,
     sim_syncs_total: AtomicU64,
@@ -79,28 +82,22 @@ impl StatsRegistry {
         self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn on_rejected_full(&self) {
-        self.rejected_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_shape(&self) {
-        self.rejected_shape.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_nonfinite(&self) {
-        self.rejected_nonfinite.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_zero_diag(&self) {
-        self.rejected_zero_diag.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_tolerance(&self) {
-        self.rejected_tolerance.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_circuit_open(&self) {
-        self.rejected_circuit_open.fetch_add(1, Ordering::Relaxed);
+    /// Count one rejected submission under its [`SubmitError::reason`]
+    /// tag.
+    ///
+    /// [`SubmitError::reason`]: crate::SubmitError::reason
+    pub(crate) fn on_rejected(&self, reason: &str) {
+        let counter = match reason {
+            "queue_full" => &self.rejected_full,
+            "nonfinite" => &self.rejected_nonfinite,
+            "zero_diag" => &self.rejected_zero_diag,
+            "tolerance" => &self.rejected_tolerance,
+            "circuit_open" => &self.rejected_circuit_open,
+            "shape" => &self.rejected_shape,
+            // Only the fleet rejects as infeasible; shutdown is no reject.
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_deadline_exceeded(&self) {
@@ -113,10 +110,6 @@ impl StatsRegistry {
 
     pub(crate) fn on_worker_panic_outcome(&self) {
         self.failed_panic.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_watchdog_stall(&self) {
@@ -449,7 +442,7 @@ mod tests {
         let r = StatsRegistry::new();
         r.on_accepted();
         r.on_accepted();
-        r.on_rejected_full();
+        r.on_rejected("queue_full");
         r.on_deadline_exceeded();
         r.on_batch(
             2,
@@ -535,13 +528,13 @@ mod tests {
     #[test]
     fn failure_taxonomy_counters() {
         let r = StatsRegistry::new();
-        r.on_rejected_nonfinite();
-        r.on_rejected_nonfinite();
-        r.on_rejected_zero_diag();
-        r.on_rejected_circuit_open();
+        r.on_rejected("nonfinite");
+        r.on_rejected("nonfinite");
+        r.on_rejected("zero_diag");
+        r.on_rejected("circuit_open");
         r.on_device_failure();
         r.on_worker_panic_outcome();
-        r.on_breaker_trip();
+        r.breaker_trips.fetch_add(1, Ordering::Relaxed);
         r.on_watchdog_stall();
         r.on_worker_respawn();
         let s = r.snapshot();

@@ -118,6 +118,49 @@ fn queue_full_rejects_with_structured_error() {
     assert_eq!(stats.converged_iterative, 3);
 }
 
+/// Echo engine that sleeps through every dispatch: each solve costs
+/// `nap` of wall time while nothing waits in the queue.
+struct SlowEngine {
+    nap: Duration,
+}
+
+impl SolveEngine for SlowEngine {
+    fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
+        std::thread::sleep(self.nap);
+        EchoEngine::new().solve_batch(items)
+    }
+}
+
+/// Queue wait is measured at dispatch: a slow solve behind an empty
+/// queue must not show up as waiting, neither in the solution nor in
+/// the stats percentiles.
+#[test]
+fn queue_wait_excludes_the_solve() {
+    let nap = Duration::from_millis(80);
+    let config = RuntimeConfig::new(DeviceSpec::v100())
+        .with_batch_target(1)
+        .with_linger(Duration::ZERO);
+    let service =
+        SolveService::start_with_engine(tiny_pattern(), config, Arc::new(SlowEngine { nap }))
+            .unwrap();
+    // One request at a time, so each one finds the queue empty.
+    for _ in 0..3 {
+        let solution = service.submit(tiny_request()).unwrap().wait().unwrap();
+        assert!(
+            solution.queue_wait < nap,
+            "queue wait {:?} includes the {nap:?} solve",
+            solution.queue_wait
+        );
+    }
+    let stats = service.shutdown();
+    assert!(
+        stats.queue_wait_p50 < nap && stats.queue_wait_p99 < nap,
+        "queue wait p50 {:?} / p99 {:?} include the {nap:?} solve",
+        stats.queue_wait_p50,
+        stats.queue_wait_p99
+    );
+}
+
 #[test]
 fn expired_deadline_returns_structured_error() {
     let engine = Arc::new(EchoEngine::new());
