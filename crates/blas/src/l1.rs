@@ -3,8 +3,13 @@
 //! These are the "intermediate vector" operations of Algorithm 1 in the
 //! paper (BiCGSTAB): dots, axpys, norms and elementwise scaling. On the
 //! GPU they run warp-parallel within the system's thread block; here they
-//! are straight loops that the compiler vectorizes, and the lane-activity
-//! accounting lives in [`crate::counts`].
+//! are straight loops, and the lane-activity accounting lives in
+//! [`crate::counts`]. The elementwise loops may vectorize. [`dot`] (and
+//! [`nrm2`] through it) deliberately does not: it is one serial
+//! `mul_add` chain from zero in ascending index order, because splitting
+//! it into partial sums would change the bits of every solve. A solver
+//! that fuses a reduction into another vector pass must keep exactly
+//! this chain.
 
 use batsolv_types::Scalar;
 

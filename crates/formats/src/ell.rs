@@ -84,19 +84,26 @@ impl<T: Scalar> BatchEll<T> {
     /// Convert a CSR batch to ELL with an explicit value layout.
     pub fn from_csr_in(csr: &BatchCsr<T>, layout: ValueLayout) -> Result<Self> {
         let mut ell = Self::zeros_in(csr.dims().num_systems, Arc::clone(csr.pattern()), layout)?;
-        let n = ell.dims.num_rows;
-        let width = ell.width;
+        let slots = ell.csr_slots();
         for i in 0..csr.dims().num_systems {
-            let src = csr.values_of(i);
             let slab = ell.values_of_mut(i);
-            for r in 0..n {
-                let (b, e) = csr.pattern().row_range(r);
-                for (k, kk) in (b..e).enumerate() {
-                    slab[layout.index(n, width, r, k)] = src[kk];
-                }
+            for (&slot, &v) in slots.iter().zip(csr.values_of(i)) {
+                slab[slot] = v;
             }
         }
         Ok(ell)
+    }
+
+    /// The slab index of every stored entry, in CSR order: entry `e` of a
+    /// CSR value array lives at slot `csr_slots()[e]` of each ELL slab.
+    /// Built once per conversion; every system of the batch reuses it.
+    fn csr_slots(&self) -> Vec<usize> {
+        let n = self.dims.num_rows;
+        (0..n)
+            .flat_map(|r| {
+                (0..self.pattern.nnz_in_row(r)).map(move |k| self.layout.index(n, self.width, r, k))
+            })
+            .collect()
     }
 
     /// Re-order the batch into another layout (values are copied; the
@@ -125,22 +132,12 @@ impl<T: Scalar> BatchEll<T> {
     pub fn to_csr(&self) -> BatchCsr<T> {
         let mut csr = BatchCsr::zeros(self.dims.num_systems, Arc::clone(&self.pattern))
             .expect("dims already validated");
-        let n = self.dims.num_rows;
-        let width = self.width;
-        let layout = self.layout;
+        let slots = self.csr_slots();
         for i in 0..self.dims.num_systems {
             let slab = self.values_of(i);
-            // fill_system visits pattern entries in CSR order; map each to
-            // its ELL slot.
-            let pattern = Arc::clone(&self.pattern);
-            csr.fill_system(i, |r, c| {
-                let k = pattern
-                    .row_cols(r)
-                    .iter()
-                    .position(|&cc| cc as usize == c)
-                    .expect("entry present");
-                slab[layout.index(n, width, r, k)]
-            });
+            for (v, &slot) in csr.values_of_mut(i).iter_mut().zip(&slots) {
+                *v = slab[slot];
+            }
         }
         csr
     }
@@ -222,6 +219,93 @@ impl<T: Scalar> BatchEll<T> {
         let pad = slots - self.pattern.nnz();
         pad as f64 / slots as f64
     }
+
+    /// Compute every row's sum `Σ_k A[r,k]·x[col(r,k)]` of system `i` and
+    /// hand it to `emit(r, sum)`, rows ascending. Each row's sum is one
+    /// `mul_add` chain from zero over its slots in ascending `k`, skipping
+    /// padding, in either layout — so both layouts and both SpMV entry
+    /// points produce the same bits.
+    #[inline(always)]
+    fn for_each_row_sum(&self, i: usize, x: &[T], mut emit: impl FnMut(usize, T)) {
+        let n = self.dims.num_rows;
+        assert_eq!(x.len(), n, "BatchEll spmv: x length");
+        let slab = self.values_of(i);
+        match self.layout {
+            // Thread-per-row mapping: blocks of ROW_BLOCK rows each keep
+            // their sums in registers while walking the stencil slots, so
+            // one pass reads every slab column once and writes each row
+            // once. The rows past the last full block go one at a time.
+            //
+            // SAFETY (both calls): `col_idxs` is private and written only by
+            // `zeros_in`, from a `SparsityPattern`, whose constructors
+            // reject a column index >= `num_rows`; every other slot holds
+            // ELL_PAD. `x.len() == n` is asserted above.
+            ValueLayout::ColMajor => {
+                let blocked = n - n % ROW_BLOCK;
+                for r0 in (0..blocked).step_by(ROW_BLOCK) {
+                    let sums =
+                        unsafe { col_major_rows::<T, ROW_BLOCK>(&self.col_idxs, slab, n, r0, x) };
+                    for (j, &sum) in sums.iter().enumerate() {
+                        emit(r0 + j, sum);
+                    }
+                }
+                for r in blocked..n {
+                    let [sum] = unsafe { col_major_rows::<T, 1>(&self.col_idxs, slab, n, r, x) };
+                    emit(r, sum);
+                }
+            }
+            // Row-at-a-time: each row's `width` entries are contiguous.
+            ValueLayout::RowMajor => {
+                let rows = self
+                    .col_idxs
+                    .chunks_exact(self.width)
+                    .zip(slab.chunks_exact(self.width));
+                for (r, (cols, vals)) in rows.enumerate() {
+                    let mut acc = T::ZERO;
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        if c != ELL_PAD {
+                            acc = v.mul_add(x[c as usize], acc);
+                        }
+                    }
+                    emit(r, acc);
+                }
+            }
+        }
+    }
+}
+
+/// Rows per register block of the column-major ELL SpMV.
+const ROW_BLOCK: usize = 8;
+
+/// Row sums of the `B` consecutive rows from `r0` of a column-major ELL
+/// slab (`cols` and `vals` hold `width * n` slots, entry `(r, k)` at
+/// `k * n + r`): one accumulator per row, slots visited in ascending `k`,
+/// padding skipped.
+///
+/// # Safety
+///
+/// Every entry of `cols` other than [`ELL_PAD`] must be below `x.len()`.
+#[inline(always)]
+unsafe fn col_major_rows<T: Scalar, const B: usize>(
+    cols: &[u32],
+    vals: &[T],
+    n: usize,
+    r0: usize,
+    x: &[T],
+) -> [T; B] {
+    let mut acc = [T::ZERO; B];
+    for (cs, vs) in cols.chunks_exact(n).zip(vals.chunks_exact(n)) {
+        let (cs, vs) = (&cs[r0..r0 + B], &vs[r0..r0 + B]);
+        for j in 0..B {
+            if cs[j] != ELL_PAD {
+                // SAFETY: `cs[j]` is not padding, so the caller
+                // guarantees it is below `x.len()`.
+                let xc = unsafe { *x.get_unchecked(cs[j] as usize) };
+                acc[j] = vs[j].mul_add(xc, acc[j]);
+            }
+        }
+    }
+    acc
 }
 
 impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
@@ -242,63 +326,14 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
 
     #[inline(always)]
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
-        let n = self.dims.num_rows;
-        let slab = self.values_of(i);
-        match self.layout {
-            // Thread-per-row mapping: the outer k loop walks the stencil
-            // entries; for each k, "threads" (rows) stream consecutive
-            // slots — a unit-stride zip the compiler can vectorize.
-            ValueLayout::ColMajor => {
-                y.iter_mut().for_each(|v| *v = T::ZERO);
-                for k in 0..self.width {
-                    let cols = &self.col_idxs[k * n..(k + 1) * n];
-                    let vals = &slab[k * n..(k + 1) * n];
-                    for ((yr, &c), &v) in y.iter_mut().zip(cols).zip(vals) {
-                        if c != ELL_PAD {
-                            *yr = v.mul_add(x[c as usize], *yr);
-                        }
-                    }
-                }
-            }
-            // Row-at-a-time: each row's `width` entries are contiguous.
-            // Accumulation visits k in the same ascending order as the
-            // column-major path, so results are bitwise identical.
-            ValueLayout::RowMajor => {
-                let rows = self
-                    .col_idxs
-                    .chunks_exact(self.width)
-                    .zip(slab.chunks_exact(self.width));
-                for (yr, (cols, vals)) in y.iter_mut().zip(rows) {
-                    let mut acc = T::ZERO;
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        if c != ELL_PAD {
-                            acc = v.mul_add(x[c as usize], acc);
-                        }
-                    }
-                    *yr = acc;
-                }
-            }
-        }
+        self.for_each_row_sum(i, x, |r, sum| y[r] = sum);
     }
 
     #[inline(always)]
     fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        let n = self.dims.num_rows;
-        let slab = self.values_of(i);
-        for (r, yr) in y.iter_mut().enumerate() {
-            // Ascending k from zero, as in both `spmv_system` layouts.
-            let mut acc = T::ZERO;
-            for k in 0..self.width {
-                let idx = self.layout.index(n, self.width, r, k);
-                let c = self.col_idxs[idx];
-                if c != ELL_PAD {
-                    acc = slab[idx].mul_add(x[c as usize], acc);
-                }
-            }
-            *yr = alpha * acc + beta * *yr;
-        }
+        debug_assert_eq!(y.len(), self.dims.num_rows);
+        self.for_each_row_sum(i, x, |r, sum| y[r] = alpha * sum + beta * y[r]);
     }
 
     fn extract_diagonal(&self, i: usize, diag: &mut [T]) {

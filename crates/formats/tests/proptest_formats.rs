@@ -17,7 +17,15 @@ fn coords(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
 
 /// A random batch over a random stencil with deterministic values.
 fn stencil_batch() -> impl Strategy<Value = BatchCsr<f64>> {
-    (2usize..7, 2usize..7, 1usize..4, any::<u32>()).prop_map(|(nx, ny, ns, seed)| {
+    stencil_batch_in(2..7, 2..7)
+}
+
+/// [`stencil_batch`] over grids of `nx × ny` nodes drawn from the ranges.
+fn stencil_batch_in(
+    nx: std::ops::Range<usize>,
+    ny: std::ops::Range<usize>,
+) -> impl Strategy<Value = BatchCsr<f64>> {
+    (nx, ny, 1usize..4, any::<u32>()).prop_map(|(nx, ny, ns, seed)| {
         let p = Arc::new(SparsityPattern::stencil_2d(nx, ny, true));
         let mut m = BatchCsr::zeros(ns, p).unwrap();
         for s in 0..ns {
@@ -40,6 +48,37 @@ fn stencil_batch() -> impl Strategy<Value = BatchCsr<f64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The column-major ELL SpMV walks rows in register blocks and ends
+    /// with a scalar tail. Row counts from 1 to 240 cover grids shorter
+    /// than one block, with a partial last block, and whole blocks; every
+    /// row must match the row-major layout and CSR to the bit.
+    #[test]
+    fn ell_layouts_agree_bitwise_on_any_row_count(
+        m in stencil_batch_in(1..17, 1..16),
+        alpha in -3.0f64..3.0,
+        beta in -3.0f64..3.0,
+    ) {
+        let n = m.dims().num_rows;
+        let col = BatchEll::from_csr_in(&m, ValueLayout::ColMajor).unwrap();
+        let row = BatchEll::from_csr_in(&m, ValueLayout::RowMajor).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for s in 0..m.dims().num_systems {
+            let x: Vec<f64> = (0..n).map(|k| ((s * 7 + k) as f64 * 0.37).sin()).collect();
+            let y0: Vec<f64> = (0..n).map(|k| ((s + 3 * k) as f64 * 0.11).cos()).collect();
+            let mut plain = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let mut adv = [y0.clone(), y0.clone(), y0.clone()];
+            let formats: [&dyn BatchMatrix<f64>; 3] = [&col, &row, &m];
+            for (k, a) in formats.iter().enumerate() {
+                a.spmv_system(s, &x, &mut plain[k]);
+                a.spmv_system_advanced(s, alpha, &x, beta, &mut adv[k]);
+            }
+            for k in 1..3 {
+                prop_assert_eq!(bits(&plain[0]), bits(&plain[k]), "spmv_system, n = {}", n);
+                prop_assert_eq!(bits(&adv[0]), bits(&adv[k]), "spmv_system_advanced, n = {}", n);
+            }
+        }
+    }
 
     #[test]
     fn pattern_from_coords_is_sorted_and_deduped(cs in coords(12)) {

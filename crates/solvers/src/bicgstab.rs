@@ -62,10 +62,12 @@ pub struct BatchBicgstab<T, P, S> {
     pub stop: S,
     /// Iteration cap.
     pub max_iters: usize,
-    /// Fused-AXPY path: merge the `x ← x + αp̂ + ωŝ` / `r ← s − ωt`
-    /// updates into one vector pass and compute `(t,s)`,`(t,t)` under a
-    /// single barrier. Bitwise-identical numerics, one less stage and one
-    /// less sync per iteration.
+    /// Fused-AXPY pricing: the simulated kernel merges the
+    /// `x ← x + αp̂ + ωŝ` / `r ← s − ωt` updates into one vector pass and
+    /// computes `(t,s)`,`(t,t)` under a single barrier — one less stage
+    /// and one less sync per iteration. The host kernel runs the same
+    /// (already fused) loop either way, so the numerics do not depend on
+    /// the flag.
     pub fused_axpy: bool,
     _marker: PhantomData<T>,
 }
@@ -161,17 +163,8 @@ where
             |i, xi| {
                 let mut logger = make_logger(i);
                 let x0 = xi.to_vec();
-                let r = bicgstab_block(
-                    a,
-                    i,
-                    b.system(i),
-                    xi,
-                    precond,
-                    stop,
-                    max_iters,
-                    self.fused_axpy,
-                    &mut logger,
-                );
+                let r =
+                    bicgstab_block(a, i, b.system(i), xi, precond, stop, max_iters, &mut logger);
                 sanitize_block_result(&x0, xi, r)
             },
         ))
@@ -292,7 +285,6 @@ pub(crate) fn bicgstab_block<T, M, P, S, L>(
     precond: &P,
     stop: &S,
     max_iters: usize,
-    fused_axpy: bool,
     logger: &mut L,
 ) -> SystemResult
 where
@@ -325,14 +317,20 @@ where
     let mut s_hat = vec![T::ZERO; n];
     let mut t = vec![T::ZERO; n];
 
-    // r = b - A x
+    // r = b − A x and r̂ = r, with ‖b‖² and ‖r‖² in the same pass.
     a.spmv_system(i, x, &mut r);
-    blas::sub_from(b, &mut r);
-    blas::copy(&r, &mut r_hat);
-
-    let bnorm = blas::nrm2(b);
-    let res0 = blas::nrm2(&r);
+    let (mut bb, mut rr) = (T::ZERO, T::ZERO);
+    for ((rk, rhk), &bk) in r.iter_mut().zip(r_hat.iter_mut()).zip(b) {
+        *rk = bk - *rk;
+        *rhk = *rk;
+        bb = bk.mul_add(bk, bb);
+        rr = rk.mul_add(*rk, rr);
+    }
+    let bnorm = bb.sqrt();
+    let res0 = rr.sqrt();
     let mut res = res0;
+    // ρ = (r̂, r) for the first iteration: r̂ = r, so its chain is ‖r‖²'s.
+    let mut rho = rr;
 
     let mut rho_prev = T::ONE;
     let mut alpha = T::ONE;
@@ -348,18 +346,20 @@ where
         }
     };
 
+    // Each reduction runs in the pass that writes its operand, as its own
+    // `mul_add` chain in ascending index order — the same chain
+    // `blas::dot` computes, so fusing passes changes no bit.
     for iter in 0..max_iters as u32 {
         if stop.is_converged(res, res0, bnorm) {
             return finish(iter, res, true, None, logger);
         }
-        let rho = blas::dot(&r_hat, &r);
         if rho == T::ZERO || !rho.is_finite() {
             return finish(iter, res, false, Some("rho"), logger);
         }
         let beta = (rho / rho_prev) * (alpha / omega);
         // p ← r + β (p − ω v)
-        for k in 0..n {
-            p[k] = r[k] + beta * (p[k] - omega * v[k]);
+        for ((pk, &rk), &vk) in p.iter_mut().zip(&r).zip(&v) {
+            *pk = rk + beta * (*pk - omega * vk);
         }
         precond.apply(&pstate, &p, &mut p_hat);
         a.spmv_system(i, &p_hat, &mut v);
@@ -368,11 +368,13 @@ where
             return finish(iter, res, false, Some("r_hat.v"), logger);
         }
         alpha = rho / rv;
-        // s = r - α v
-        for k in 0..n {
-            s[k] = r[k] - alpha * v[k];
+        // s = r − α v, with ‖s‖².
+        let mut ss = T::ZERO;
+        for ((sk, &rk), &vk) in s.iter_mut().zip(&r).zip(&v) {
+            *sk = rk - alpha * vk;
+            ss = sk.mul_add(*sk, ss);
         }
-        let snorm = blas::nrm2(&s);
+        let snorm = ss.sqrt();
         if stop.is_converged(snorm, res0, bnorm) {
             blas::axpy(alpha, &p_hat, x);
             logger.log_iteration(iter + 1, snorm);
@@ -380,8 +382,12 @@ where
         }
         precond.apply(&pstate, &s, &mut s_hat);
         a.spmv_system(i, &s_hat, &mut t);
-        let ts = blas::dot(&t, &s);
-        let tt = blas::dot(&t, &t);
+        // (t, s) and (t, t) in one pass.
+        let (mut ts, mut tt) = (T::ZERO, T::ZERO);
+        for (&tk, &sk) in t.iter().zip(&s) {
+            ts = tk.mul_add(sk, ts);
+            tt = tk.mul_add(tk, tt);
+        }
         if tt == T::ZERO || !tt.is_finite() {
             return finish(iter, snorm, false, Some("t.t"), logger);
         }
@@ -389,28 +395,23 @@ where
         if omega == T::ZERO {
             return finish(iter, snorm, false, Some("omega"), logger);
         }
-        // x ← x + α p̂ + ω ŝ ; r ← s − ω t. The fused path merges both
-        // updates into one vector pass — IEEE-identical per element, so
-        // the two paths produce bitwise-equal iterates.
-        if fused_axpy {
-            for k in 0..n {
-                x[k] = x[k] + alpha * p_hat[k] + omega * s_hat[k];
-                r[k] = s[k] - omega * t[k];
-            }
-        } else {
-            for k in 0..n {
-                x[k] = x[k] + alpha * p_hat[k] + omega * s_hat[k];
-            }
-            for k in 0..n {
-                r[k] = s[k] - omega * t[k];
-            }
+        // x ← x + α p̂ + ω ŝ ; r ← s − ω t, with ‖r‖² and the next
+        // iteration's ρ = (r̂, r).
+        rho_prev = rho;
+        (rr, rho) = (T::ZERO, T::ZERO);
+        let (x, r) = (&mut x[..n], &mut r[..n]);
+        let (p_hat, s_hat, s, t, r_hat) = (&p_hat[..n], &s_hat[..n], &s[..n], &t[..n], &r_hat[..n]);
+        for k in 0..n {
+            x[k] = x[k] + alpha * p_hat[k] + omega * s_hat[k];
+            r[k] = s[k] - omega * t[k];
+            rr = r[k].mul_add(r[k], rr);
+            rho = r_hat[k].mul_add(r[k], rho);
         }
-        res = blas::nrm2(&r);
+        res = rr.sqrt();
         if !res.is_finite() {
             return finish(iter + 1, res, false, Some("divergence"), logger);
         }
         logger.log_iteration(iter + 1, res);
-        rho_prev = rho;
     }
     let converged = stop.is_converged(res, res0, bnorm);
     finish(max_iters as u32, res, converged, None, logger)

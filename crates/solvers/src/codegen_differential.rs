@@ -83,7 +83,6 @@ fn every_iterative_solver<M: BatchMatrix<f64>>(format: &str, a: &M, w: &XgcWorkl
                     &s.precond,
                     &s.stop,
                     s.max_iters,
-                    fused,
                     &mut NoopLogger,
                 )
             },

@@ -108,7 +108,6 @@ where
                     &self.precond,
                     &self.stop,
                     self.max_iters,
-                    false,
                     &mut NoopLogger,
                 );
                 sanitize_block_result(&x0, xv, r)
