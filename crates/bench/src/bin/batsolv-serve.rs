@@ -55,11 +55,11 @@
 //! ```
 //!
 //! `--solver` picks the fused solver variant carrying rung 1 of the
-//! escalation ladder (on every GPU shard in fleet mode, whose default
-//! stays the fused `bicgstab-fused`); the chosen variant and its cumulative simulated
-//! sync count surface in the stats page (`batsolv_solver_info`,
-//! `batsolv_sim_syncs_total`). `--precond` picks the batched
-//! preconditioner under the iterative rungs (`batsolv_precond_info`);
+//! escalation ladder (on every GPU shard in fleet mode); the chosen
+//! variant and its cumulative simulated sync count surface in the stats
+//! page (`batsolv_solver_info`, `batsolv_sim_syncs_total`). `--precond`
+//! picks the batched preconditioner under the iterative rungs
+//! (`batsolv_precond_info`);
 //! `--autotune` turns on the telemetry tuner, whose per-class
 //! (solver, preconditioner) recommendations surface identically as
 //! `autotune_decision` trace events, `batsolv_autotune_*` Prometheus
@@ -95,9 +95,8 @@ struct Args {
     queue: usize,
     quick: bool,
     compare: bool,
-    /// Rung-1 variant; `None` keeps each mode's default (the classic
-    /// service's `bicgstab`, the fleet's fused `bicgstab-fused`).
-    solver: Option<SolverVariant>,
+    /// Rung-1 variant, in both the classic service and the fleet.
+    solver: SolverVariant,
     /// Preconditioner under the iterative ladder rungs (single-service
     /// and fleet GPU shards; the CPU spill pool stays unpreconditioned).
     precond: PrecondVariant,
@@ -137,7 +136,7 @@ impl Args {
             queue: 1024,
             quick: false,
             compare: false,
-            solver: None,
+            solver: SolverVariant::default(),
             precond: PrecondVariant::default(),
             autotune: false,
             autotune_window: 32,
@@ -178,10 +177,10 @@ impl Args {
                 "--compare" => out.compare = true,
                 "--solver" => {
                     let name = args.next().unwrap_or_default();
-                    out.solver = Some(SolverVariant::parse(&name).unwrap_or_else(|| {
+                    out.solver = SolverVariant::parse(&name).unwrap_or_else(|| {
                         eprintln!("--solver needs one of: {}", SolverVariant::NAMES.join(", "));
                         std::process::exit(2);
-                    }))
+                    })
                 }
                 "--precond" => {
                     let name = args.next().unwrap_or_default();
@@ -296,7 +295,7 @@ fn drive(
         .with_batch_target(target)
         .with_linger(Duration::from_micros(args.linger_us))
         .with_queue_capacity(args.queue)
-        .with_solver(args.solver.unwrap_or_default())
+        .with_solver(args.solver)
         .with_precond(args.precond)
         .with_autotune(args.autotune.then(|| AutoTunerConfig {
             window: args.autotune_window,
@@ -408,9 +407,7 @@ fn drive_fleet(
     // GPU shards run their ladders under the chosen solver variant and
     // preconditioner; the CPU spill pool stays on the unpreconditioned
     // banded-LU baseline.
-    if let Some(solver) = args.solver {
-        config.ladder.solver = solver;
-    }
+    config.ladder.solver = args.solver;
     config.ladder.precond = args.precond;
     let service = Arc::new(
         FleetService::start(Arc::clone(workload.pattern()), config).expect("fleet failed to start"),

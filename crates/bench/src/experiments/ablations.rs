@@ -3,16 +3,14 @@
 //! * **monolithic** (Section II): block-diagonal assembly + one global
 //!   solver vs the batched design;
 //! * **shared** (Section IV.D): shared-memory placement policy sweep;
-//! * **solver** (Section IV.B): BiCGSTAB vs CG vs GMRES vs Richardson;
+//! * **solver** (Section IV.B): BiCGSTAB vs CG vs CGS vs GMRES;
 //! * **tolerance** (Section V): solver tolerance vs conservation — the
 //!   "1e-10 buys 1e-7 conservation" coupling.
 
 use batsolv_formats::BatchVectors;
 use batsolv_gpusim::DeviceSpec;
 use batsolv_solvers::monolithic::MonolithicBicgstab;
-use batsolv_solvers::{
-    AbsResidual, BatchBicgstab, BatchCg, BatchCgs, BatchGmres, BatchRichardson, Jacobi,
-};
+use batsolv_solvers::{AbsResidual, BatchBicgstab, BatchCg, BatchCgs, BatchGmres, Jacobi};
 use batsolv_types::Result;
 use batsolv_xgc::picard::SolverKind;
 use batsolv_xgc::{CollisionProxy, VelocityGrid, XgcWorkload};
@@ -129,7 +127,7 @@ pub fn shared_memory(cfg: &RunConfig) -> Result<String> {
     Ok(out)
 }
 
-/// Solver-choice ablation: BiCGSTAB vs CG vs GMRES(30) vs Richardson.
+/// Solver-choice ablation: BiCGSTAB vs CG vs CGS vs GMRES(30).
 pub fn solver_choice(cfg: &RunConfig) -> Result<String> {
     let pairs = if cfg.quick { 8 } else { 32 };
     let w = XgcWorkload::generate(VelocityGrid::xgc_standard(), pairs, cfg.seed)?;
@@ -169,18 +167,6 @@ pub fn solver_choice(cfg: &RunConfig) -> Result<String> {
         let r = BatchGmres::new(Jacobi, stop, 30).solve(&dev, &w.matrices, &w.rhs, &mut x)?;
         entries.push((
             "gmres(30)",
-            r.all_converged(),
-            r.max_iterations(),
-            r.time_s(),
-        ));
-    }
-    {
-        let mut x = BatchVectors::zeros(w.rhs.dims());
-        let r = BatchRichardson::new(Jacobi, stop, 1.0)
-            .with_max_iters(3000)
-            .solve(&dev, &w.matrices, &w.rhs, &mut x)?;
-        entries.push((
-            "richardson",
             r.all_converged(),
             r.max_iterations(),
             r.time_s(),

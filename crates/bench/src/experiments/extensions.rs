@@ -4,22 +4,26 @@
 //! * **multispecies** — Section II.A's "~10 ion species and electrons"
 //!   workload: batch size scales with the species count;
 //! * **multigpu** — Summit-node deployment (6 × V100), strong scaling of
-//!   one collision batch;
+//!   one collision batch over a `FleetService` of 1–6 shards;
 //! * **mixed-precision** — f32 inner solves + f64 refinement vs the
 //!   plain f64 batched BiCGSTAB;
 //! * **gpu-direct** — why nobody runs `dgbsv` *on* the GPU: the banded
 //!   factorization's sequential column chain versus the batched
 //!   iterative kernel.
 
-use batsolv_formats::{BatchBanded, BatchMatrix, BatchVectors};
-use batsolv_gpusim::{DeviceSpec, MultiGpu};
+use std::time::Duration;
+
+use batsolv_formats::{BatchBanded, BatchVectors};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_solvers::direct::banded_lu::dgbsv_time_model;
 use batsolv_solvers::direct::dense_lu::dense_lu_time_model;
-use batsolv_solvers::{AbsResidual, BatchBicgstab, Jacobi, MixedPrecisionBicgstab, NoopLogger};
+use batsolv_solvers::{AbsResidual, BatchBicgstab, Jacobi, MixedPrecisionBicgstab};
+use batsolv_trace::chrome_trace;
 use batsolv_types::Result;
 use batsolv_xgc::{MultiSpeciesProxy, VelocityGrid, XgcWorkload};
 
 use crate::config::RunConfig;
+use crate::experiments::fleet::drive;
 use crate::output::{fmt_time, write_csv, TextTable};
 
 /// Multi-species scaling: mesh nodes needed to saturate the GPU shrink
@@ -82,69 +86,37 @@ pub fn multi_species(cfg: &RunConfig) -> Result<String> {
     Ok(out)
 }
 
-/// Multi-GPU strong scaling on the Summit node layout.
+/// Multi-GPU strong scaling on the Summit node layout: one collision
+/// batch served by a `FleetService` of 1, 2, 4 and 6 V100 shards.
 pub fn multi_gpu(cfg: &RunConfig) -> Result<String> {
     let pairs = if cfg.quick { 240 } else { 1440 };
     let w = XgcWorkload::generate(VelocityGrid::xgc_standard(), pairs, cfg.seed)?;
-    let ell = w.ell()?;
-    let solver = BatchBicgstab::new(Jacobi, AbsResidual::new(1e-10));
-    let mut x = BatchVectors::zeros(w.rhs.dims());
-    let results = solver.run_numerics(&ell, &w.rhs, &mut x, |_| NoopLogger)?;
-    assert!(results.iter().all(|r| r.converged));
-    // Reuse the solver's own per-block stats via a single-device report,
-    // then scale across device counts.
-    let single = solver.price_results(&DeviceSpec::v100(), &ell, results.clone());
-    let plan_shared = single.shared_per_block;
-
-    // Reconstruct the block stats through the public pricing API: price
-    // on one device to get per-block times is not enough for MultiGpu,
-    // so assemble BlockStats through the same path the solver uses.
-    use batsolv_solvers::common::{assemble_block_stats, StageCosts, SyncProfile};
-    use batsolv_solvers::workspace::{WorkspacePlan, BICGSTAB_VECTORS};
-    let plan = WorkspacePlan::plan::<f64>(
-        DeviceSpec::v100().shared_budget_bytes(),
-        ell.dims().num_rows,
-        &BICGSTAB_VECTORS,
-    );
-    let costs = StageCosts {
-        setup: batsolv_types::OpCounts::ZERO,
-        per_iter: ell.spmv_counts(32) * 2,
-        setup_stages: 3,
-        iter_stages: 10,
-        ro_req_per_iter: 2
-            * (ell.value_bytes_per_system() as u64 + ell.shared_index_bytes() as u64),
-        sync: SyncProfile {
-            setup_syncs: 2,
-            setup_reductions: 2,
-            iter_syncs: 6,
-            iter_reductions: 6,
-            iter_hidden_reductions: 0,
-        },
-    };
-    let blocks: Vec<_> = results
-        .iter()
-        .map(|r| assemble_block_stats(&ell, &plan, r, &costs))
-        .collect();
 
     let mut rows = Vec::new();
     let mut table = TextTable::new(&["GPUs", "time", "speedup vs 1", "efficiency"]);
     let mut effs = Vec::new();
-    let t1 = MultiGpu::homogeneous(DeviceSpec::v100(), 1)
-        .price(&blocks, plan_shared)
-        .time_s;
+    let mut t1 = 0.0;
+    let mut summit = None;
     for k in [1usize, 2, 4, 6] {
-        let node = MultiGpu::homogeneous(DeviceSpec::v100(), k);
-        let rep = node.price(&blocks, plan_shared);
-        let speedup = t1 / rep.time_s;
+        // BENCH_fleet's deterministic pass: stealing off, round-robin
+        // hints, no pacing; and no CPU spill, so every system runs on a
+        // GPU shard. The time is the busiest shard's simulated time.
+        let rep = drive(&w, k, false, false, Duration::ZERO, None, false)?;
+        let time_s = rep.snap.makespan_s;
+        if k == 1 {
+            t1 = time_s;
+        }
+        let speedup = t1 / time_s;
         let eff = speedup / k as f64;
-        rows.push(format!("{k},{:.9},{speedup:.3},{eff:.3}", rep.time_s));
+        rows.push(format!("{k},{time_s:.9},{speedup:.3},{eff:.3}"));
         table.row(&[
             k.to_string(),
-            fmt_time(rep.time_s),
+            fmt_time(time_s),
             format!("{speedup:.2}x"),
             format!("{:.0}%", eff * 100.0),
         ]);
         effs.push(eff);
+        summit = Some(rep);
     }
     write_csv(
         &cfg.out_dir,
@@ -153,21 +125,13 @@ pub fn multi_gpu(cfg: &RunConfig) -> Result<String> {
         &rows,
     )?;
 
-    // Per-device timelines: price the full Summit node once more and
-    // turn its per-device `KernelReport`s into kernel-launch events,
-    // each tagged with its device index as the shard id. The chrome
-    // exporter then lays them out as one lane per device.
-    use batsolv_trace::{chrome_trace, MemorySink, TraceSink, Tracer};
-    use std::sync::Arc;
-    let node = MultiGpu::summit_node();
-    let rep = node.price(&blocks, plan_shared);
-    let sink = Arc::new(MemorySink::new());
-    let tracer = Tracer::new(Arc::clone(&sink) as Arc<dyn TraceSink>);
-    for kind in rep.launch_events(&node, "bicgstab", 0, plan_shared, 6.0) {
-        tracer.emit(None, kind);
-    }
-    let trace = chrome_trace(&sink.snapshot());
-    let lanes = (0..node.devices.len())
+    // Per-device timelines of the 6-shard run: every shard tags its
+    // launches with its id, so the chrome exporter lays them out as one
+    // lane per device.
+    let summit = summit.expect("the sweep ends at 6 devices");
+    let devices = summit.snap.shards.len();
+    let trace = chrome_trace(&summit.events);
+    let lanes = (0..devices)
         .filter(|d| trace.contains(&format!("device {d} kernels")))
         .count();
     std::fs::write(cfg.out_dir.join("ext_multigpu_trace.json"), &trace)?;
@@ -175,16 +139,11 @@ pub fn multi_gpu(cfg: &RunConfig) -> Result<String> {
     let mut out =
         String::from("== Extension: multi-GPU strong scaling (Summit node, 6 x V100) ==\n");
     out.push_str(&table.render());
-    // Efficiency floor at 6 GPUs: the sync-priced device model charges
-    // every iteration's grid-wide syncs and reductions per device, so
-    // splitting a fixed batch 6 ways amortizes launches worse than the
-    // pre-sync model did (measured ~41% here vs ~65% before reduction
-    // pricing landed). 0.35 keeps the gate meaningful — a scheduler
-    // regression that serializes devices still trips it — without
-    // re-litigating the device model.
-    let ok = effs[3] > 0.35
-        && effs.windows(2).all(|w| w[1] <= w[0] + 0.02)
-        && lanes == node.devices.len();
+    // Efficiency floor at 6 GPUs: shards that ran one after another would
+    // score 1/6, well under 0.35. What keeps the measured value below 1
+    // is the group-size cycle: round-robin over six shards hands shard 0
+    // every largest group.
+    let ok = effs[3] > 0.35 && effs.windows(2).all(|w| w[1] <= w[0] + 0.02) && lanes == devices;
     out.push_str(&format!(
         "per-device timeline: {lanes} kernel lanes in ext_multigpu_trace.json (one per V100)\n"
     ));

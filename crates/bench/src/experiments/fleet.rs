@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use batsolv_fleet::{FleetConfig, FleetService, FleetSnapshot, HedgeConfig};
 use batsolv_runtime::SolveRequest;
-use batsolv_trace::{parse_prom_value, EventKind, MemorySink, TraceSink, Tracer};
+use batsolv_trace::{parse_prom_value, EventKind, MemorySink, TraceEvent, TraceSink, Tracer};
 use batsolv_types::{Error, Result};
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
@@ -41,8 +41,8 @@ const SKEW_DEN: usize = 10;
 pub(crate) struct DriveReport {
     pub snap: FleetSnapshot,
     pub wall: Duration,
-    pub spill_events: u64,
-    pub spill_systems_traced: u64,
+    /// Everything the fleet traced, in emission order.
+    pub events: Vec<TraceEvent>,
     pub page: String,
 }
 
@@ -51,7 +51,9 @@ pub(crate) struct DriveReport {
 /// non-skewed run round-robins hints, which with stealing off makes the
 /// whole schedule — and therefore every simulated-time metric —
 /// deterministic (the perf harness gates on exactly that). `hedge`
-/// optionally arms hedged dispatch (None leaves it off).
+/// optionally arms hedged dispatch (None leaves it off). `spill: false`
+/// lowers the spill cutoff to one system, so every chunk runs on a GPU
+/// shard.
 pub(crate) fn drive(
     workload: &XgcWorkload,
     devices: usize,
@@ -59,10 +61,11 @@ pub(crate) fn drive(
     skew: bool,
     pace: Duration,
     hedge: Option<HedgeConfig>,
+    spill: bool,
 ) -> Result<DriveReport> {
     let sink = Arc::new(MemorySink::new());
     let cfg = FleetConfig::new(devices)
-        .with_min_batch_size(MIN_BATCH)
+        .with_min_batch_size(if spill { MIN_BATCH } else { 1 })
         .with_max_batch_size(MAX_BATCH)
         .with_queue_capacity(4096)
         .with_steal(steal)
@@ -121,20 +124,10 @@ pub(crate) fn drive(
     }
     let snap = service.shutdown();
     let page = batsolv_fleet::fleet_prometheus_text(&snap);
-
-    let mut spill_events = 0u64;
-    let mut spill_systems_traced = 0u64;
-    for e in sink.snapshot() {
-        if let EventKind::CpuSpill { size, .. } = e.kind {
-            spill_events += 1;
-            spill_systems_traced += size as u64;
-        }
-    }
     Ok(DriveReport {
         snap,
         wall,
-        spill_events,
-        spill_systems_traced,
+        events: sink.snapshot(),
         page,
     })
 }
@@ -158,8 +151,8 @@ pub fn run(cfg: &RunConfig) -> Result<String> {
     // where stealing improves the tail; a genuine regression — stealing
     // no longer helping under skew — fails every trial.
     const TRIALS: usize = 5;
-    let mut no_steal = drive(&workload, devices, false, true, pace, None)?;
-    let mut steal = drive(&workload, devices, true, true, pace, None)?;
+    let mut no_steal = drive(&workload, devices, false, true, pace, None, true)?;
+    let mut steal = drive(&workload, devices, true, true, pace, None, true)?;
     let mut trials = 1;
     while trials < TRIALS
         && !(steal.snap.steals() > 0 && steal.snap.latency_p99 < no_steal.snap.latency_p99)
@@ -171,25 +164,29 @@ pub fn run(cfg: &RunConfig) -> Result<String> {
         );
         // Let whatever perturbed the host settle before re-measuring.
         std::thread::sleep(Duration::from_millis(50));
-        no_steal = drive(&workload, devices, false, true, pace, None)?;
-        steal = drive(&workload, devices, true, true, pace, None)?;
+        no_steal = drive(&workload, devices, false, true, pace, None, true)?;
+        steal = drive(&workload, devices, true, true, pace, None, true)?;
         trials += 1;
     }
 
     // -- Spill agreement: trace events vs Prometheus per-device labels.
+    let (mut spill_events, mut spill_systems_traced) = (0u64, 0u64);
+    for e in &steal.events {
+        if let EventKind::CpuSpill { size, .. } = e.kind {
+            spill_events += 1;
+            spill_systems_traced += size as u64;
+        }
+    }
     let spilled_prom = parse_prom_value(&steal.page, "batsolv_fleet_spilled_systems_total")
         .ok_or_else(|| Error::InvalidConfig("spill counter missing from metrics".into()))?
         as u64;
-    if steal.spill_systems_traced != spilled_prom
+    if spill_systems_traced != spilled_prom
         || steal.snap.spilled != spilled_prom
         || steal.snap.cpu_pool.completed != spilled_prom
     {
         return Err(Error::InvalidConfig(format!(
             "spill disagreement: trace {} vs prometheus {} vs snapshot {} vs cpu pool {}",
-            steal.spill_systems_traced,
-            spilled_prom,
-            steal.snap.spilled,
-            steal.snap.cpu_pool.completed
+            spill_systems_traced, spilled_prom, steal.snap.spilled, steal.snap.cpu_pool.completed
         )));
     }
 
@@ -287,7 +284,7 @@ pub fn run(cfg: &RunConfig) -> Result<String> {
     out.push_str(&format!(
         "cpu spill: {} systems in {} chunks; trace events, Prometheus device=\"cpu-pool\" \
          labels, and the fleet snapshot agree\n",
-        spilled_prom, steal.spill_events,
+        spilled_prom, spill_events,
     ));
     out.push_str(&format!(
         "gate: stealing reduces fleet p99 under skew .............. {}\n",

@@ -128,9 +128,25 @@ pub fn run(quick: bool) -> Result<FleetSweep> {
     let systems = workload.num_systems();
 
     // Gated pass: deterministic schedule (no steal, no skew, no pacing).
-    let rr = drive(&workload, FLEET_DEVICES, false, false, Duration::ZERO, None)?;
+    let rr = drive(
+        &workload,
+        FLEET_DEVICES,
+        false,
+        false,
+        Duration::ZERO,
+        None,
+        true,
+    )?;
     // Informational pass: skewed arrivals with stealing on.
-    let sk = drive(&workload, FLEET_DEVICES, true, true, Duration::ZERO, None)?;
+    let sk = drive(
+        &workload,
+        FLEET_DEVICES,
+        true,
+        true,
+        Duration::ZERO,
+        None,
+        true,
+    )?;
     // Gated pass: the round-robin schedule with hedging armed but its
     // delay floor far above any chunk latency — nothing fires, so the
     // metrics stay deterministic while the hedge bookkeeping is priced.
@@ -144,6 +160,7 @@ pub fn run(quick: bool) -> Result<FleetSweep> {
         false,
         Duration::ZERO,
         Some(hedge_cfg),
+        true,
     )?;
 
     let mut rows = rows_for("round-robin", &rr.snap);

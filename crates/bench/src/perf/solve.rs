@@ -25,8 +25,7 @@ use batsolv_formats::{BatchCsr, BatchEll, BatchMatrix, BatchVectors, SparsityPat
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{BatchExecutor, ExecMode};
 use batsolv_solvers::{
-    BatchBicgstab, BatchCg, BatchCgs, BatchGmres, BatchRichardson, IterativeSolver, Jacobi,
-    RelResidual,
+    BatchBicgstab, BatchCg, BatchCgs, BatchGmres, IterativeSolver, Jacobi, RelResidual,
 };
 use batsolv_types::{Error, Result};
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
@@ -194,7 +193,6 @@ pub const VARIANT_NAMES: &[&str] = &[
     "pipelined-bicgstab",
     "cgs",
     "gmres",
-    "richardson",
     "cg",
     "pipelined-cg",
 ];
@@ -282,14 +280,6 @@ fn run_variants(
         "gmres",
         "xgc",
         BatchGmres::new(Jacobi, stop, 30).with_max_iters(MAX_ITERS),
-        ell,
-        &w.rhs,
-        &w.warm_guess
-    );
-    variant!(
-        "richardson",
-        "xgc",
-        BatchRichardson::new(Jacobi, stop, 0.8).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess

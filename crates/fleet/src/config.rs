@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use batsolv_gpusim::DeviceSpec;
-use batsolv_runtime::{BreakerConfig, LadderConfig, SolverVariant};
+use batsolv_runtime::{BreakerConfig, LadderConfig};
 use batsolv_trace::Tracer;
 use batsolv_types::{Error, Result};
 
@@ -277,10 +277,7 @@ impl FleetConfig {
             queue_capacity: 256,
             steal: true,
             steal_seed: 0x5eed_f1ee,
-            ladder: LadderConfig {
-                solver: SolverVariant::BicgstabFused,
-                ..LadderConfig::default()
-            },
+            ladder: LadderConfig::default(),
             breaker: BreakerConfig::default(),
             cpu_workers: DEFAULT_CPU_WORKERS,
             retry: RetryPolicy::disabled(),

@@ -23,7 +23,7 @@ use batsolv_runtime::{
     Terminals,
 };
 use batsolv_trace::EventKind;
-use batsolv_types::Result;
+use batsolv_types::{Error, Result};
 
 use crate::config::{FleetConfig, HedgeConfig};
 use crate::degrade::DegradeState;
@@ -87,7 +87,13 @@ impl FleetService {
         hooks: Vec<Arc<dyn LaunchHook>>,
     ) -> Result<FleetService> {
         cfg.validate()?;
-        assert_eq!(hooks.len(), cfg.devices, "one hook per GPU shard");
+        if hooks.len() != cfg.devices {
+            return Err(Error::InvalidConfig(format!(
+                "{} launch hooks for {} GPU shards (one per shard)",
+                hooks.len(),
+                cfg.devices
+            )));
+        }
         let range = DeviceRange::new(cfg.devices, cfg.min_batch_size, cfg.max_batch_size);
         let wide_range = DeviceRange::new(
             cfg.devices,

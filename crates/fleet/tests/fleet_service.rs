@@ -260,6 +260,25 @@ fn start_rejects_a_ladder_that_fails_every_chunk() {
     }
 }
 
+/// `start_with_hooks` takes one hook per GPU shard; any other count is a
+/// caller error and comes back as `InvalidConfig`, not a panic.
+#[test]
+fn start_with_hooks_rejects_a_hook_count_that_is_not_one_per_shard() {
+    use batsolv_types::Error;
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    for count in [0usize, 1, 3] {
+        let hooks: Vec<Arc<dyn LaunchHook>> = (0..count)
+            .map(|_| Arc::new(NoDisruption) as Arc<dyn LaunchHook>)
+            .collect();
+        match FleetService::start_with_hooks(Arc::clone(&pattern), FleetConfig::new(2), hooks) {
+            Err(Error::InvalidConfig(_)) => {}
+            Err(e) => panic!("{count} hooks: expected InvalidConfig, got {e:?}"),
+            Ok(_) => panic!("{count} hooks: start accepted them for 2 shards"),
+        }
+    }
+}
+
 /// One request with a tolerance that is not finite and positive would
 /// set the stopping criterion of every chunk it shares. Its whole group
 /// is refused at submission; the same group without it solves on rung 1.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use batsolv_formats::{
     matrix_market, BatchBanded, BatchCsr, BatchDense, BatchDia, BatchEll, BatchMatrix,
-    BatchTridiag, BatchVectors, SparsityPattern, ValueLayout,
+    BatchVectors, SparsityPattern, ValueLayout,
 };
 use proptest::prelude::*;
 
@@ -161,13 +161,8 @@ proptest! {
         let dia_row = BatchDia::from_csr_in(&m, 16, ValueLayout::RowMajor).unwrap();
         let banded = BatchBanded::from_csr(&m).unwrap();
         let dense = BatchDense::from_csr(&m);
-        let tridiag = BatchTridiag::from_fn(m.dims(), |s, r| {
-            let lo = if r > 0 { m.entry(s, r, r - 1) } else { 0.0 };
-            let up = if r + 1 < n { m.entry(s, r, r + 1) } else { 0.0 };
-            (lo, m.entry(s, r, r), up)
-        });
-        let formats: [&dyn BatchMatrix<f64>; 8] =
-            [&m, &ell, &ell_row, &dia, &dia_row, &banded, &dense, &tridiag];
+        let formats: [&dyn BatchMatrix<f64>; 7] =
+            [&m, &ell, &ell_row, &dia, &dia_row, &banded, &dense];
         let x: Vec<f64> = (0..n).map(|k| (k as f64 * 0.7).sin()).collect();
         for a in formats {
             let name = a.format_name();

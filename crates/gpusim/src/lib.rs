@@ -38,7 +38,6 @@ pub mod device;
 pub mod exec;
 pub mod hook;
 pub mod model;
-pub mod multi;
 pub mod occupancy;
 pub mod schedule;
 pub mod sync;
@@ -50,7 +49,6 @@ pub use device::{DeviceClass, DeviceSpec, Scheduling};
 pub use exec::{run_batch, run_batch_map_mut, run_batch_mut};
 pub use hook::{LaunchDisruption, LaunchHook, NoDisruption};
 pub use model::{BlockStats, KernelReport, SimKernel};
-pub use multi::{MultiGpu, MultiGpuReport};
 pub use occupancy::{max_threads_per_block, resident_blocks_per_cu, warps_per_block};
 pub use schedule::makespan;
 pub use sync::{reduction_depth, reduction_time_s, sync_time_s};

@@ -5,11 +5,11 @@
 //! from each terminal `ConvergenceHistory`-derived record — and commits
 //! one (solver, preconditioner) recommendation per [`WorkloadClass`]:
 //! ion-like solves converge in a handful of iterations, so the cheap
-//! pointwise Jacobi under the fused-AXPY BiCGSTAB wins; electron-like
-//! solves are iteration-bound, so the heavier batched preconditioners
-//! (block-Jacobi, then ILU(0)) pay for their per-apply barriers by
-//! cutting the iteration count; anomalous solves get the heaviest rung-1
-//! configuration ahead of the escalation ladder.
+//! pointwise Jacobi under BiCGSTAB wins; electron-like solves are
+//! iteration-bound, so the heavier batched preconditioners (block-Jacobi,
+//! then ILU(0)) pay for their per-apply barriers by cutting the iteration
+//! count; anomalous solves get the heaviest rung-1 configuration ahead of
+//! the escalation ladder.
 //!
 //! Decisions are **deterministic** — a pure function of the observation
 //! stream and the configured seed (used only as a boundary tie-break) —
@@ -193,7 +193,7 @@ fn choose(
     seed: u64,
 ) -> (SolverVariant, PrecondVariant) {
     match class {
-        WorkloadClass::IonLike => (SolverVariant::BicgstabFused, PrecondVariant::Jacobi),
+        WorkloadClass::IonLike => (SolverVariant::Bicgstab, PrecondVariant::Jacobi),
         WorkloadClass::ElectronLike => {
             let threshold = f64::from(2 * ION_ITER_MAX);
             let heavy = if mean_iters == threshold {
@@ -228,7 +228,7 @@ mod tests {
         let t = tuner(8);
         let d = t.observe(WorkloadClass::IonLike, 4, true).unwrap();
         assert_eq!(d.class, WorkloadClass::IonLike);
-        assert_eq!(d.solver, SolverVariant::BicgstabFused);
+        assert_eq!(d.solver, SolverVariant::Bicgstab);
         assert_eq!(d.precond, PrecondVariant::Jacobi);
         assert_eq!(d.revision, 0);
         assert_eq!(d.observations, 1);
@@ -354,7 +354,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             (d_ion.solver, d_ion.precond),
-            (SolverVariant::BicgstabFused, PrecondVariant::Jacobi)
+            (SolverVariant::Bicgstab, PrecondVariant::Jacobi)
         );
         assert_eq!(
             (d_ele.solver, d_ele.precond),

@@ -20,9 +20,8 @@ use batsolv_formats::{BatchBanded, BatchCsr, BatchVectors, SparsityPattern};
 use batsolv_gpusim::{DeviceSpec, Direction, LaunchHook, NoDisruption};
 use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_solvers::{
-    AbsResidual, BatchBicgstab, BatchCg, BatchGmres, BatchSolveReport, BlockJacobi, Identity, Ilu0,
-    IterationLogger, Jacobi, NoopLogger, PipelinedBicgstab, PipelinedCg, Preconditioner,
-    TraceLogger,
+    AbsResidual, BatchBicgstab, BatchGmres, BatchSolveReport, BlockJacobi, Identity, Ilu0,
+    IterationLogger, Jacobi, NoopLogger, PipelinedBicgstab, Preconditioner, TraceLogger,
 };
 use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::{BatchDims, Result};
@@ -142,18 +141,12 @@ impl SimSplit {
 /// Which fused solver variant carries rung 1 of the ladder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverVariant {
-    /// Classical batched BiCGSTAB (Algorithm 1): 6 syncs/iteration.
+    /// Batched BiCGSTAB (Algorithm 1), priced with the fused-AXPY vector
+    /// pass the host loop runs: 5 syncs/iteration.
     #[default]
     Bicgstab,
-    /// BiCGSTAB with the fused-AXPY vector pass — bitwise-identical
-    /// numerics, 5 syncs/iteration.
-    BicgstabFused,
     /// Pipelined BiCGSTAB (fused reductions): 2 syncs/iteration.
     PipelinedBicgstab,
-    /// Classical batched CG (SPD systems): 3 syncs/iteration.
-    Cg,
-    /// Pipelined CG (Ghysels–Vanroose): 1 sync/iteration.
-    PipelinedCg,
 }
 
 impl SolverVariant {
@@ -161,10 +154,7 @@ impl SolverVariant {
     pub fn parse(s: &str) -> Option<SolverVariant> {
         match s {
             "bicgstab" => Some(SolverVariant::Bicgstab),
-            "bicgstab-fused" => Some(SolverVariant::BicgstabFused),
             "pipelined-bicgstab" => Some(SolverVariant::PipelinedBicgstab),
-            "cg" => Some(SolverVariant::Cg),
-            "pipelined-cg" => Some(SolverVariant::PipelinedCg),
             _ => None,
         }
     }
@@ -173,21 +163,12 @@ impl SolverVariant {
     pub fn name(self) -> &'static str {
         match self {
             SolverVariant::Bicgstab => "bicgstab",
-            SolverVariant::BicgstabFused => "bicgstab-fused",
             SolverVariant::PipelinedBicgstab => "pipelined-bicgstab",
-            SolverVariant::Cg => "cg",
-            SolverVariant::PipelinedCg => "pipelined-cg",
         }
     }
 
     /// Every accepted `--solver` value, for usage/error messages.
-    pub const NAMES: &'static [&'static str] = &[
-        "bicgstab",
-        "bicgstab-fused",
-        "pipelined-bicgstab",
-        "cg",
-        "pipelined-cg",
-    ];
+    pub const NAMES: &'static [&'static str] = &["bicgstab", "pipelined-bicgstab"];
 }
 
 /// Which batched preconditioner the iterative rungs run under.
@@ -443,7 +424,7 @@ impl LadderEngine {
 
     /// One fused launch of `rung` over an assembled subset. Untraced
     /// dispatches pass the no-op logger, so the hot kernel carries no
-    /// per-iteration branch; the CG variants have no logger seam.
+    /// per-iteration branch.
     #[allow(clippy::too_many_arguments)]
     fn run<P, L, F>(
         &self,
@@ -463,23 +444,15 @@ impl LadderEngine {
         let device = &self.lane.device;
         let (stop, max_iters) = (AbsResidual::new(tol), self.cfg.max_iters);
         match (rung, self.cfg.solver) {
-            (Rung::Krylov, SolverVariant::Bicgstab | SolverVariant::BicgstabFused) => {
-                BatchBicgstab::new(precond.clone(), stop)
-                    .with_max_iters(max_iters)
-                    .with_fused_axpy(self.cfg.solver == SolverVariant::BicgstabFused)
-                    .solve_logged(device, a, b, x, logger)
-            }
+            (Rung::Krylov, SolverVariant::Bicgstab) => BatchBicgstab::new(precond.clone(), stop)
+                .with_max_iters(max_iters)
+                .with_fused_axpy(true)
+                .solve_logged(device, a, b, x, logger),
             (Rung::Krylov, SolverVariant::PipelinedBicgstab) => {
                 PipelinedBicgstab::new(precond.clone(), stop)
                     .with_max_iters(max_iters)
                     .solve_logged(device, a, b, x, logger)
             }
-            (Rung::Krylov, SolverVariant::Cg) => BatchCg::new(precond.clone(), stop)
-                .with_max_iters(max_iters)
-                .solve(device, a, b, x),
-            (Rung::Krylov, SolverVariant::PipelinedCg) => PipelinedCg::new(precond.clone(), stop)
-                .with_max_iters(max_iters)
-                .solve(device, a, b, x),
             (Rung::Gmres, _) => BatchGmres::new(precond.clone(), stop, self.cfg.gmres_restart)
                 .with_max_iters(self.cfg.gmres_max_iters)
                 .solve_logged(device, a, b, x, logger),
@@ -726,6 +699,18 @@ mod tests {
         assert_eq!(PrecondVariant::parse("block-jacobi:0"), None);
         assert_eq!(PrecondVariant::parse("block-jacobi:x"), None);
         assert_eq!(PrecondVariant::parse("ssor"), None);
+    }
+
+    #[test]
+    fn solver_variant_names_round_trip() {
+        for &name in SolverVariant::NAMES {
+            let v = SolverVariant::parse(name).unwrap_or_else(|| panic!("{name} does not parse"));
+            assert_eq!(v.name(), name);
+        }
+        assert_eq!(SolverVariant::NAMES.len(), 2);
+        for retired in ["bicgstab-fused", "cg", "pipelined-cg"] {
+            assert_eq!(SolverVariant::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]

@@ -484,7 +484,7 @@ mod tests {
         let choices = vec![
             AutotuneChoice {
                 class: WorkloadClass::IonLike,
-                solver: "bicgstab-fused",
+                solver: "pipelined-bicgstab",
                 precond: "jacobi",
                 observations: 17,
                 revision: 0,

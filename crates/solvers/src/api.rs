@@ -21,7 +21,6 @@ use crate::gmres::BatchGmres;
 use crate::pipelined_bicgstab::PipelinedBicgstab;
 use crate::pipelined_cg::PipelinedCg;
 use crate::precond::Preconditioner;
-use crate::richardson::BatchRichardson;
 use crate::stop::StopCriterion;
 
 /// Anything that can solve a whole batch `A_i x_i = b_i` in one fused
@@ -70,7 +69,6 @@ impl_iterative_solver!(BatchBicgstab, "bicgstab");
 impl_iterative_solver!(BatchCg, "cg");
 impl_iterative_solver!(BatchCgs, "cgs");
 impl_iterative_solver!(BatchGmres, "gmres");
-impl_iterative_solver!(BatchRichardson, "richardson");
 impl_iterative_solver!(PipelinedBicgstab, "pipelined-bicgstab");
 impl_iterative_solver!(PipelinedCg, "pipelined-cg");
 

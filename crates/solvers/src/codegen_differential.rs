@@ -23,7 +23,6 @@ use crate::logger::NoopLogger;
 use crate::pipelined_bicgstab::{pipelined_bicgstab_block, PipelinedBicgstab};
 use crate::pipelined_cg::{pipelined_cg_block, PipelinedCg};
 use crate::precond::Jacobi;
-use crate::richardson::{richardson_block, BatchRichardson};
 use crate::stop::AbsResidual;
 
 /// Enough iterations for BiCGSTAB to converge on the small grid; the
@@ -157,15 +156,6 @@ fn every_iterative_solver<M: BatchMatrix<f64>>(format: &str, a: &M, w: &XgcWorkl
         a,
         w,
         |a, i, b, x| pipelined_cg_block(a, i, b, x, &s.precond, &s.stop, s.max_iters),
-        |a, b, x| s.solve(&dev, a, b, x),
-    );
-
-    let s = BatchRichardson::new(Jacobi, stop, 1.0).with_max_iters(MAX_ITERS);
-    assert_same(
-        &format!("richardson/{format}"),
-        a,
-        w,
-        |a, i, b, x| richardson_block(a, i, b, x, &s.precond, &s.stop, s.omega, s.max_iters),
         |a, b, x| s.solve(&dev, a, b, x),
     );
 }

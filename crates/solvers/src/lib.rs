@@ -8,9 +8,9 @@
 //!   monitoring; composed at compile time from a
 //!   [`preconditioner`](precond), a [stopping criterion](stop), and a
 //!   [logger] exactly like Ginkgo's templated `apply_kernel`;
-//! * [`cg`], [`gmres`], [`richardson`] — the other preconditionable
-//!   batched Krylov/fixed-point solvers ("we implement batched versions
-//!   of several preconditionable iterative solvers"; BiCGSTAB won);
+//! * [`cg`], [`cgs`], [`gmres`] — the other preconditionable batched
+//!   Krylov solvers ("we implement batched versions of several
+//!   preconditionable iterative solvers"; BiCGSTAB won);
 //! * [`pipelined_cg`], [`pipelined_bicgstab`] — communication-avoiding
 //!   reformulations (Ghysels–Vanroose / Cools–Vanroose recurrences) that
 //!   fuse the per-iteration dot products into one reduction overlapped
@@ -20,8 +20,7 @@
 //!   Section IV.D: SpMV-operand ("red") vectors are placed in shared
 //!   memory first, other intermediates next, the rest spill to global;
 //! * [`direct`] — the baselines: a banded LU (`dgbsv`, the CPU
-//!   comparator), a Givens sparse QR (the cuSolver comparator), and a
-//!   batched cyclic-reduction tridiagonal solver (related work);
+//!   comparator) and a Givens sparse QR (the cuSolver comparator);
 //! * [`monolithic`] — the Section II ablation: the whole batch assembled
 //!   into one block-diagonal system and solved by a single non-batched
 //!   BiCGSTAB with global (worst-system) convergence.
@@ -43,7 +42,6 @@ pub mod pipelined_cg;
 pub mod polynomial;
 pub mod precond;
 pub mod refinement;
-pub mod richardson;
 pub mod stop;
 pub mod trace_adapter;
 pub mod workspace;
@@ -61,7 +59,6 @@ pub use pipelined_cg::PipelinedCg;
 pub use polynomial::NeumannPolynomial;
 pub use precond::{BlockJacobi, Identity, Ilu0, Ilu0State, Jacobi, Preconditioner};
 pub use refinement::{MixedPrecisionBicgstab, RefinementReport};
-pub use richardson::BatchRichardson;
 pub use stop::{AbsResidual, RelResidual, StopCriterion};
 pub use trace_adapter::TraceLogger;
 pub use workspace::{VectorClass, WorkspacePlan};

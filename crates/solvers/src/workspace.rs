@@ -180,13 +180,6 @@ pub const PIPELINED_CG_VECTORS: [VectorSpec; 10] = [
     VectorSpec::new("x", VectorClass::Other),
 ];
 
-/// The 3 vectors of preconditioned Richardson iteration.
-pub const RICHARDSON_VECTORS: [VectorSpec; 3] = [
-    VectorSpec::new("r", VectorClass::SpMV),
-    VectorSpec::new("z", VectorClass::SpMV),
-    VectorSpec::new("x", VectorClass::Other),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;

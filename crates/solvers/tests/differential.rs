@@ -23,8 +23,8 @@ use batsolv_formats::{
 };
 use batsolv_gpusim::DeviceSpec;
 use batsolv_solvers::{
-    BatchBicgstab, BatchCg, BatchCgs, BatchGmres, BatchRichardson, IterativeSolver, Jacobi,
-    PipelinedBicgstab, PipelinedCg, RelResidual,
+    BatchBicgstab, BatchCg, BatchCgs, BatchGmres, IterativeSolver, Jacobi, PipelinedBicgstab,
+    PipelinedCg, RelResidual,
 };
 use batsolv_types::BatchDims;
 
@@ -119,11 +119,6 @@ fn cgs_fused_matches_sequential_bitwise() {
 #[test]
 fn gmres_fused_matches_sequential_bitwise() {
     assert_fused_matches_sequential(&BatchGmres::new(Jacobi, RelResidual::new(1e-10), 25));
-}
-
-#[test]
-fn richardson_fused_matches_sequential_bitwise() {
-    assert_fused_matches_sequential(&BatchRichardson::new(Jacobi, RelResidual::new(1e-8), 0.08));
 }
 
 #[test]
@@ -357,11 +352,6 @@ where
     assert_fused_matches_sequential(&BatchCgs::new(precond.clone(), stop));
     assert_fused_matches_sequential(&BatchGmres::new(precond.clone(), stop, 25));
     assert_fused_matches_sequential(&PipelinedBicgstab::new(precond.clone(), stop));
-    assert_fused_matches_sequential(&BatchRichardson::new(
-        precond.clone(),
-        RelResidual::new(1e-8),
-        0.08,
-    ));
     assert_fused_matches_sequential(&BatchCg::new(precond.clone(), stop));
     assert_fused_matches_sequential(&PipelinedCg::new(precond, stop));
 }

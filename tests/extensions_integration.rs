@@ -1,6 +1,6 @@
 //! Integration tests of the extension components: DIA format, CGS,
 //! mixed precision, Neumann preconditioning, multi-species proxy,
-//! multi-GPU partitioning, campaign driver.
+//! multi-device fleet scaling, campaign driver.
 
 use batsolv::prelude::*;
 use batsolv::xgc::campaign::{run_campaign, CampaignConfig};
@@ -131,24 +131,51 @@ fn multi_species_proxy_scales_batches_with_lineup() {
 
 #[test]
 fn multi_gpu_round_robin_reduces_makespan() {
-    use batsolv::solvers::NoopLogger;
-    let w = XgcWorkload::generate(VelocityGrid::xgc_standard(), 240, 9).unwrap();
-    let ell = w.ell().unwrap();
-    let solver = BatchBicgstab::new(Jacobi, AbsResidual::new(1e-10));
-    let mut x = BatchVectors::zeros(w.rhs.dims());
-    let results = solver
-        .run_numerics(&ell, &w.rhs, &mut x, |_| NoopLogger)
-        .unwrap();
-    let single = solver
-        .price_results(&DeviceSpec::v100(), &ell, results)
-        .kernel;
-    // Reprice on a 4-GPU node via the block times (uniform split bound).
-    let node = MultiGpu::homogeneous(DeviceSpec::v100(), 4);
-    assert_eq!(node.devices.len(), 4);
-    // The single-device makespan must exceed a quarter of itself plus
-    // coordination — weak but format-independent sanity that the pieces
-    // wire together (the precise scaling law is tested in gpusim).
-    assert!(single.time_s > single.time_s / 4.0);
+    use batsolv_fleet::{FleetConfig, FleetService};
+    use std::sync::Arc;
+
+    const GROUP: usize = 8;
+    let w = XgcWorkload::generate(VelocityGrid::small(10, 9), 32, 9).unwrap();
+    let n = w.num_systems();
+    // One batch as groups of 8 hinted round-robin over the shards, with
+    // stealing off and nothing small enough to spill to the CPU pool.
+    let makespan = |devices: usize| {
+        let cfg = FleetConfig::new(devices)
+            .with_min_batch_size(GROUP)
+            .with_max_batch_size(GROUP)
+            .with_steal(false);
+        let fleet = FleetService::start(Arc::clone(w.pattern()), cfg).unwrap();
+        let tickets: Vec<_> = (0..n)
+            .step_by(GROUP)
+            .enumerate()
+            .map(|(g, first)| {
+                let group = (first..first + GROUP)
+                    .map(|k| {
+                        let s = w.system(k);
+                        SolveRequest::new(s.values.to_vec(), s.rhs.to_vec())
+                    })
+                    .collect();
+                let hint = Some((g % devices) as u32);
+                fleet.submit_group(group, hint).unwrap()
+            })
+            .collect();
+        for t in tickets {
+            for outcome in t.wait_all() {
+                assert_eq!(outcome.unwrap().method, SolveMethod::Bicgstab);
+            }
+        }
+        let snap = fleet.shutdown();
+        assert_eq!(snap.spilled, 0);
+        snap.makespan_s
+    };
+    let (one, four) = (makespan(1), makespan(4));
+    // Eight equal groups over four shards: each shard carries a quarter
+    // of the launches, so the busiest device finishes well before the
+    // lone one does.
+    assert!(
+        one > 0.0 && four < one / 2.0,
+        "1 shard {one} s, 4 shards {four} s"
+    );
 }
 
 #[test]

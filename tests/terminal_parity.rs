@@ -50,7 +50,7 @@ fn ladder() -> LadderConfig {
         gmres_restart: 2,
         gmres_max_iters: 4,
         enable_fallback: true,
-        solver: SolverVariant::BicgstabFused,
+        solver: SolverVariant::Bicgstab,
         precond: PrecondVariant::None,
     }
 }
