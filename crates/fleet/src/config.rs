@@ -1,11 +1,10 @@
 //! Fleet configuration.
-
-use std::time::Duration;
-
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{BreakerConfig, LadderConfig};
 use batsolv_trace::Tracer;
 use batsolv_types::{Error, Result};
+
+pub use batsolv_runtime::{DegradeConfig, HedgeConfig, RetryPolicy};
 
 /// Default minimum batch size before a chunk spills to the CPU pool —
 /// below this the GPU launch overhead dominates and the paper's Skylake
@@ -64,168 +63,6 @@ impl DeviceProfile {
 
     /// Every accepted `--device-profile` value.
     pub const NAMES: &'static [&'static str] = &["v100", "a100", "mi100"];
-}
-
-/// Retry policy for retryable chunk failures (device failures and
-/// worker panics — see `FailureClass` in `batsolv-faults`).
-///
-/// Backoff is exponential with deterministic, seeded jitter: the delay
-/// for `(attempt, id)` is a pure function of the policy, so chaos tests
-/// replaying a seed observe identical retry schedules. `max_attempts`
-/// counts *executions*, not re-tries: 1 means a chunk runs once and a
-/// retryable failure is terminal (today's behavior, and the default).
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total execution attempts per chunk (1 = retries off).
-    pub max_attempts: u32,
-    /// Backoff before attempt 2 (doubles each further attempt).
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff, jitter included.
-    pub max_backoff: Duration,
-    /// Jitter fraction: the delay is scaled by `1.0 + jitter * u` with
-    /// `u` uniform in `[0, 1)` drawn from the seeded hash.
-    pub jitter: f64,
-    /// Seed for the jitter hash.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// Retries off: one attempt, retryable failures become terminal.
-    pub fn disabled() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            jitter: 0.25,
-            seed: 0x5eed_4e77,
-        }
-    }
-
-    /// Retries on with `max_attempts` total executions and the default
-    /// 1 ms base / 100 ms cap / 25% jitter schedule.
-    pub fn new(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            ..RetryPolicy::disabled()
-        }
-    }
-
-    /// Fix the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Deterministic backoff before executing `attempt` (2-based: the
-    /// first retry is attempt 2) of the chunk whose lead request id is
-    /// `id`. Pure in `(self, attempt, id)`.
-    pub fn backoff(&self, attempt: u32, id: u64) -> Duration {
-        // Exponent for the retry ordinal; clamp so the shift is defined.
-        let exp = attempt.saturating_sub(2).min(20);
-        let base = self
-            .base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff);
-        // splitmix64 over (seed, id, attempt) for the jitter draw.
-        let mut z = self
-            .seed
-            .wrapping_add(id.rotate_left(17))
-            .wrapping_add(attempt as u64)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-        let scaled = base.mul_f64(1.0 + self.jitter.max(0.0) * u);
-        scaled.min(self.max_backoff)
-    }
-}
-
-/// Straggler-hedging policy: once a primary chunk has been in flight
-/// longer than its shard class's hedge delay, an idle shard duplicates
-/// it and the first terminal outcome wins the shared outcome slots.
-#[derive(Clone, Copy, Debug)]
-pub struct HedgeConfig {
-    /// Master switch (also forced off at degradation level >= 1).
-    pub enabled: bool,
-    /// Floor on the hedge delay, so cold reservoirs (no latency
-    /// samples yet) do not hedge instantly.
-    pub min_delay: Duration,
-    /// Hedge when the in-flight age exceeds this multiple of the
-    /// executing shard's observed p99 chunk latency.
-    pub p99_factor: f64,
-}
-
-impl HedgeConfig {
-    /// Hedging off (the default).
-    pub fn disabled() -> HedgeConfig {
-        HedgeConfig {
-            enabled: false,
-            min_delay: Duration::from_millis(20),
-            p99_factor: 2.0,
-        }
-    }
-
-    /// Hedging on with the default 20 ms floor and 2x p99 trigger.
-    pub fn enabled() -> HedgeConfig {
-        HedgeConfig {
-            enabled: true,
-            ..HedgeConfig::disabled()
-        }
-    }
-
-    /// Set the hedge-delay floor.
-    pub fn with_min_delay(mut self, d: Duration) -> Self {
-        self.min_delay = d;
-        self
-    }
-
-    /// Set the p99 multiple that triggers a hedge.
-    pub fn with_p99_factor(mut self, f: f64) -> Self {
-        self.p99_factor = f;
-        self
-    }
-}
-
-/// Queue-occupancy thresholds of the graceful-degradation ladder.
-///
-/// The fraction is fleet-wide GPU queue occupancy (queued chunks over
-/// total capacity). Crossing a threshold upward raises the level;
-/// falling back below lowers it. Levels: 0 normal, 1 hedges disabled,
-/// 2 sub-deadline shedding, 3 CPU-spill widening.
-#[derive(Clone, Copy, Debug)]
-pub struct DegradeConfig {
-    /// Occupancy at which hedging turns off (level 1).
-    pub hedge_off: f64,
-    /// Occupancy at which sub-deadline work is shed (level 2).
-    pub shed: f64,
-    /// Occupancy at which the CPU spill cutoff widens (level 3).
-    pub widen_spill: f64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> DegradeConfig {
-        DegradeConfig {
-            hedge_off: 0.50,
-            shed: 0.75,
-            widen_spill: 0.90,
-        }
-    }
-}
-
-impl DegradeConfig {
-    /// The ladder level for an occupancy fraction.
-    pub fn level_for(&self, occupancy: f64) -> u8 {
-        if occupancy >= self.widen_spill {
-            3
-        } else if occupancy >= self.shed {
-            2
-        } else if occupancy >= self.hedge_off {
-            1
-        } else {
-            0
-        }
-    }
 }
 
 /// Knobs of a fleet service.
@@ -361,49 +198,60 @@ impl FleetConfig {
 
     /// Reject nonsensical knob combinations before any thread spawns.
     pub fn validate(&self) -> Result<()> {
-        if self.devices == 0 {
-            return Err(Error::InvalidConfig(
-                "fleet needs at least one device shard".into(),
-            ));
+        let (hedge, d) = (self.hedge.p99_factor, &self.degrade);
+        let checks = [
+            (self.devices == 0, "fleet needs at least one device shard"),
+            (self.min_batch_size == 0, "min_batch_size must be >= 1"),
+            (
+                self.max_batch_size < self.min_batch_size,
+                "max_batch_size must be >= min_batch_size (the dispatch window)",
+            ),
+            (self.queue_capacity == 0, "queue_capacity must be >= 1"),
+            (self.cpu_workers == 0, "cpu_workers must be >= 1"),
+            (
+                self.retry.max_attempts == 0,
+                "retry.max_attempts must be >= 1 (1 means retries off)",
+            ),
+            (
+                !(hedge.is_finite() && hedge > 0.0),
+                "hedge.p99_factor must be positive and finite",
+            ),
+            (
+                d.hedge_off > d.shed || d.shed > d.widen_spill,
+                "degrade thresholds must be ordered hedge_off <= shed <= widen_spill",
+            ),
+        ];
+        if let Some((_, reason)) = checks.iter().find(|(bad, _)| *bad) {
+            return Err(Error::InvalidConfig((*reason).into()));
         }
-        if self.min_batch_size == 0 {
-            return Err(Error::InvalidConfig("min_batch_size must be >= 1".into()));
-        }
-        if self.max_batch_size < self.min_batch_size {
-            return Err(Error::InvalidConfig(
-                "max_batch_size must be >= min_batch_size (the dispatch window)".into(),
-            ));
-        }
-        if self.queue_capacity == 0 {
-            return Err(Error::InvalidConfig("queue_capacity must be >= 1".into()));
-        }
-        if self.cpu_workers == 0 {
-            return Err(Error::InvalidConfig("cpu_workers must be >= 1".into()));
-        }
-        self.ladder.validate().map_err(Error::InvalidConfig)?;
-        if self.retry.max_attempts == 0 {
-            return Err(Error::InvalidConfig(
-                "retry.max_attempts must be >= 1 (1 means retries off)".into(),
-            ));
-        }
-        if !self.hedge.p99_factor.is_finite() || self.hedge.p99_factor <= 0.0 {
-            return Err(Error::InvalidConfig(
-                "hedge.p99_factor must be positive and finite".into(),
-            ));
-        }
-        let d = &self.degrade;
-        if d.hedge_off > d.shed || d.shed > d.widen_spill {
-            return Err(Error::InvalidConfig(
-                "degrade thresholds must be ordered hedge_off <= shed <= widen_spill".into(),
-            ));
-        }
-        Ok(())
+        self.ladder
+            .validate()
+            .and_then(|()| self.breaker.validate())
+            .map_err(Error::InvalidConfig)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validation_rejects_breaker_knobs_the_service_rejects() {
+        let spoiled: [fn(&mut BreakerConfig); 3] = [
+            |b| b.trip_after = 0,
+            |b| b.degraded_fraction = f64::NAN,
+            |b| b.degraded_fraction = 1.5,
+        ];
+        for spoil in spoiled {
+            let mut breaker = BreakerConfig::default();
+            spoil(&mut breaker);
+            let err = FleetConfig::new(2).with_breaker(breaker).validate();
+            assert!(
+                matches!(err, Err(Error::InvalidConfig(_))),
+                "{breaker:?} accepted"
+            );
+        }
+    }
 
     #[test]
     fn profile_parse_roundtrip() {
@@ -454,51 +302,5 @@ mod tests {
             })
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_under_a_fixed_seed() {
-        let policy = RetryPolicy::new(5).with_seed(42);
-        let again = RetryPolicy::new(5).with_seed(42);
-        for attempt in 2..=5u32 {
-            for id in [0u64, 1, 17, 1 << 40] {
-                assert_eq!(
-                    policy.backoff(attempt, id),
-                    again.backoff(attempt, id),
-                    "pure function of (policy, attempt, id)"
-                );
-            }
-        }
-        // A different seed shifts the jitter for at least one cell.
-        let other = RetryPolicy::new(5).with_seed(43);
-        assert_ne!(policy.backoff(2, 17), other.backoff(2, 17));
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::new(40)
-        };
-        // No jitter: attempt 2 = base, attempt 3 = 2x base, ...
-        assert_eq!(policy.backoff(2, 9), Duration::from_millis(1));
-        assert_eq!(policy.backoff(3, 9), Duration::from_millis(2));
-        assert_eq!(policy.backoff(4, 9), Duration::from_millis(4));
-        // Deep attempts saturate at the cap instead of overflowing.
-        assert_eq!(policy.backoff(40, 9), policy.max_backoff);
-        // Jitter never exceeds the cap either.
-        let jittered = RetryPolicy::new(40);
-        assert!(jittered.backoff(40, 9) <= jittered.max_backoff);
-    }
-
-    #[test]
-    fn degrade_levels_follow_the_thresholds() {
-        let d = DegradeConfig::default();
-        assert_eq!(d.level_for(0.0), 0);
-        assert_eq!(d.level_for(0.49), 0);
-        assert_eq!(d.level_for(0.50), 1);
-        assert_eq!(d.level_for(0.75), 2);
-        assert_eq!(d.level_for(0.90), 3);
-        assert_eq!(d.level_for(1.0), 3);
     }
 }

@@ -3,8 +3,11 @@
 //!
 //! The paper benchmarks one GPU against one 38-worker Skylake node; a
 //! production collision-operator service gets a *node* of devices and a
-//! stream of irregularly sized batches. This crate adds the serving
-//! layer for that setting on top of the single-device runtime:
+//! stream of irregularly sized batches. This crate adds placement for
+//! that setting on top of the runtime's shard worker core
+//! (`batsolv_runtime::shard`), which executes, retries, isolates, steals
+//! and hedges for every shard — the single-device `SolveService` is a
+//! one-shard fleet on the same core:
 //!
 //! * a **[`DeviceRange`] scheduler** — size-aware dispatch over a
 //!   contiguous range of device shards: groups are split into chunks of
@@ -14,8 +17,8 @@
 //!   baseline (below the cutoff the GPU launch cannot amortize and
 //!   dgbsv wins);
 //! * **per-shard isolation** — every shard owns its simulated device,
-//!   bounded queue, worker thread, circuit breaker, and stats, so one
-//!   faulty device sheds load without stalling its peers;
+//!   bounded queue, worker thread, circuit breaker, and stats registry,
+//!   so one faulty device sheds load without stalling its peers;
 //! * **deterministic work stealing** — an idle shard probes peers in a
 //!   seeded, fixed victim order and steals the *oldest* queued chunk;
 //!   solver numerics are device-placement-independent, so a stolen
@@ -25,15 +28,17 @@
 //!   backoff); admission fast-fails with `SubmitError::Infeasible` when
 //!   the device model already prices a chunk above the whole budget,
 //!   and spent budgets shed at dispatch instead of executing;
-//! * **retry with backoff and hedged dispatch** — retryable chunk
-//!   failures (device faults, worker panics) re-queue on a *different*
-//!   shard after a deterministic seeded backoff; idle shards duplicate
+//! * **retry with backoff, blame isolation and hedged dispatch** —
+//!   retryable chunk failures (device faults, worker panics) re-queue on
+//!   a *different* shard after a deterministic seeded backoff; once
+//!   attempts are spent, a failed chunk re-runs each member alone so only
+//!   the request that provokes the fault fails; idle shards duplicate
 //!   straggling peer flights after a p99-derived delay, with shared
 //!   outcome slots keeping delivery exactly-once; a graceful-degradation
 //!   ladder (hedges off → shedding → widened spill) keeps overload from
 //!   amplifying itself;
-//! * **fleet observability** — per-shard [`StatsSnapshot`-style]
-//!   snapshots roll up into a [`FleetSnapshot`] with per-shard and
+//! * **fleet observability** — per-shard [`ShardSnapshot`]s roll up
+//!   into a [`FleetSnapshot`] with per-shard and
 //!   fleet-wide wait/latency percentiles, trace events carry the shard
 //!   id end to end (one chrome-trace device lane per shard), and the
 //!   Prometheus page labels every series by device.
@@ -66,14 +71,12 @@
 //! ```
 
 pub mod config;
-mod degrade;
 pub mod metrics;
 pub mod range;
 pub mod service;
-mod shard;
 pub mod stats;
-mod work;
 
+pub use batsolv_runtime::GroupTicket;
 pub use config::{
     DegradeConfig, DeviceProfile, FleetConfig, HedgeConfig, RetryPolicy, DEFAULT_CPU_WORKERS,
     DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE,
@@ -82,4 +85,3 @@ pub use metrics::fleet_prometheus_text;
 pub use range::{victim_order, DeviceRange, Placement, Route};
 pub use service::FleetService;
 pub use stats::{FleetSnapshot, ShardSnapshot};
-pub use work::GroupTicket;

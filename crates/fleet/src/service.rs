@@ -11,27 +11,26 @@
 //! orphaned members never resolve).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use batsolv_formats::SparsityPattern;
-use batsolv_gpusim::{LaunchHook, NoDisruption};
+use batsolv_gpusim::{DeviceSpec, LaunchHook, NoDisruption};
+use batsolv_runtime::degrade::DegradeState;
+use batsolv_runtime::shard::{spawn_shard_worker, Shard, WorkerCtx};
+use batsolv_runtime::work::{Chunk, GroupProgress, Pending};
 use batsolv_runtime::{
-    percentile_us, BatchItem, BoundedQueue, CircuitBreaker, ClassTracker, ClassesSnapshot,
-    DeadlineBudget, LadderEngine, Phases, PushResult, SolveEngine, SolveRequest, SubmitError,
-    Terminals,
+    percentile_us, ClassTracker, ClassesSnapshot, GroupTicket, LadderEngine, PushResult,
+    SolveRequest, SubmitError, Terminals,
 };
 use batsolv_trace::EventKind;
 use batsolv_types::{Error, Result};
 
 use crate::config::{FleetConfig, HedgeConfig};
-use crate::degrade::DegradeState;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
-use crate::shard::{spawn_shard_worker, ShardShared, ShardStats, WorkerCtx};
-use crate::stats::{snapshot_shard, FleetSnapshot};
-use crate::work::{Chunk, GroupProgress, GroupTicket, OutcomeSlot, Pending};
+use crate::stats::FleetSnapshot;
 
 /// Iteration count assumed by admission-time cost prediction: the
 /// paper's Table III electron-species solves land near 40 iterations,
@@ -46,8 +45,8 @@ pub struct FleetService {
     /// doubled, so marginal chunks widen onto the spill pool instead of
     /// deepening saturated GPU queues.
     wide_range: DeviceRange,
-    shards: Arc<Vec<Arc<ShardShared>>>,
-    cpu: Arc<ShardShared>,
+    shards: Arc<Vec<Arc<Shard>>>,
+    cpu: Arc<Shard>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Serializes placement planning against concurrent submitters and
     /// shutdown, making group placement all-or-nothing.
@@ -115,81 +114,58 @@ impl FleetService {
             PREDICT_ITERS,
         ));
 
-        let shards: Arc<Vec<Arc<ShardShared>>> = Arc::new(
+        let shard = |id, device| {
+            Arc::new(Shard::new(
+                id,
+                device,
+                cfg.queue_capacity,
+                Some(cfg.breaker),
+            ))
+        };
+        let shards: Arc<Vec<Arc<Shard>>> = Arc::new(
             (0..cfg.devices as u32)
-                .map(|id| {
-                    Arc::new(ShardShared {
-                        id,
-                        device_name: cfg.profile.spec().name,
-                        queue: BoundedQueue::new(cfg.queue_capacity),
-                        stats: ShardStats::new(),
-                        breaker: CircuitBreaker::new(cfg.breaker),
-                        inflight: Mutex::new(None),
-                    })
-                })
+                .map(|id| shard(id, spec.name))
                 .collect(),
         );
-        let cpu = Arc::new(ShardShared {
-            id: range.cpu_shard(),
-            device_name: batsolv_gpusim::DeviceSpec::skylake_node().name,
-            queue: BoundedQueue::new(cfg.queue_capacity),
-            stats: ShardStats::new(),
-            breaker: CircuitBreaker::new(cfg.breaker),
-            inflight: Mutex::new(None),
-        });
+        let cpu = shard(range.cpu_shard(), DeviceSpec::skylake_node().name);
 
+        let spawn = |shard: &Arc<Shard>, engine: LadderEngine, victims, hedge, is_spill| {
+            let engine = engine.with_tracer(cfg.tracer.clone()).with_shard(shard.id);
+            spawn_shard_worker(WorkerCtx {
+                name: format!("fleet-shard-{}", shard.id),
+                shard: Arc::clone(shard),
+                peers: Arc::clone(&shards),
+                engine: Arc::new(engine),
+                victims,
+                terminals: Arc::clone(&terminals),
+                retry: cfg.retry,
+                hedge,
+                degrade: Some(Arc::clone(&degrade)),
+                predicted_chunk_cost,
+                is_spill,
+                batching: None,
+            })
+            .map_err(|e| Error::InvalidConfig(format!("failed to spawn shard worker: {e}")))
+        };
         let mut workers = Vec::with_capacity(cfg.devices + 1);
-        for (i, shard) in shards.iter().enumerate() {
-            let engine: Arc<dyn SolveEngine> = Arc::new(
-                LadderEngine::with_hook(
-                    cfg.profile.spec(),
-                    Arc::clone(&pattern),
-                    cfg.ladder,
-                    Arc::clone(&hooks[i]),
-                )
-                .with_tracer(cfg.tracer.clone())
-                .with_shard(shard.id),
-            );
+        for (shard, hook) in shards.iter().zip(hooks) {
+            let engine =
+                LadderEngine::with_hook(spec.clone(), Arc::clone(&pattern), cfg.ladder, hook);
             let victims = if cfg.steal {
                 victim_order(cfg.devices, shard.id, cfg.steal_seed)
             } else {
                 Vec::new()
             };
-            workers.push(spawn_shard_worker(WorkerCtx {
-                shard: Arc::clone(shard),
-                peers: Arc::clone(&shards),
-                engine,
-                victims,
-                terminals: Arc::clone(&terminals),
-                retry: cfg.retry,
-                hedge: cfg.hedge,
-                degrade: Arc::clone(&degrade),
-                predicted_chunk_cost,
-                is_spill: false,
-            }));
+            workers.push(spawn(shard, engine, victims, cfg.hedge, false)?);
         }
         // The CPU pool is one more worker over the same machinery: the
         // same engine cut down to its banded-LU rung, and it never steals
         // (GPU backlogs would defeat the size cutoff that routed work
         // away from it) and never hedges (its chunks are the small spill
         // tail, not fused straggler candidates).
-        let cpu_engine: Arc<dyn SolveEngine> = Arc::new(
-            LadderEngine::cpu_pool(Arc::clone(&pattern), cfg.cpu_workers)
-                .with_tracer(cfg.tracer.clone())
-                .with_shard(range.cpu_shard()),
-        );
-        workers.push(spawn_shard_worker(WorkerCtx {
-            shard: Arc::clone(&cpu),
-            peers: Arc::clone(&shards),
-            engine: cpu_engine,
-            victims: Vec::new(),
-            terminals: Arc::clone(&terminals),
-            retry: cfg.retry,
-            hedge: HedgeConfig::disabled(),
-            degrade: Arc::clone(&degrade),
-            predicted_chunk_cost,
-            is_spill: true,
-        }));
+        let cpu_engine = LadderEngine::cpu_pool(Arc::clone(&pattern), cfg.cpu_workers);
+        let no_hedge = HedgeConfig::disabled();
+        workers.push(spawn(&cpu, cpu_engine, Vec::new(), no_hedge, true)?);
 
         Ok(FleetService {
             range,
@@ -341,7 +317,7 @@ impl FleetService {
                     let mut cur = s;
                     for _ in 0..devices {
                         let shard = &self.shards[cur as usize];
-                        match shard.breaker.check(now) {
+                        match shard.admit(now) {
                             Err(retry) => {
                                 open_retry =
                                     Some(open_retry.map_or(retry, |r: Duration| r.min(retry)));
@@ -384,25 +360,12 @@ impl FleetService {
         let mut rxs = Vec::with_capacity(total);
         let mut pendings = Vec::with_capacity(total);
         for (k, r) in requests.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
             let id = base + k as u64;
+            let group = Arc::clone(&group);
+            let (pending, rx) = Pending::admit(id, r, submit_started, enqueued, group);
             ids.push(id);
             rxs.push(rx);
-            pendings.push(Pending {
-                item: BatchItem {
-                    id,
-                    values: r.values,
-                    rhs: r.rhs,
-                    guess: r.guess,
-                    tolerance: r.tolerance,
-                },
-                enqueued,
-                budget: r.deadline.map(DeadlineBudget::new),
-                attempt: 1,
-                slot: Arc::new(OutcomeSlot::new(tx)),
-                phases: Phases::new(submit_started, enqueued, r.deadline.is_some()),
-                group: Arc::clone(&group),
-            });
+            pendings.push(pending);
         }
 
         let mut rest = pendings;
@@ -452,7 +415,7 @@ impl FleetService {
         }
         debug_assert!(rest.is_empty());
         self.accepted.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(GroupTicket { ids, rxs })
+        Ok(GroupTicket::new(ids, rxs))
     }
 
     /// Point-in-time fleet rollup: every shard, the CPU pool, merged
@@ -464,9 +427,9 @@ impl FleetService {
         let shards: Vec<_> = self
             .shards
             .iter()
-            .map(|s| snapshot_shard(s, now, &mut wait_us, &mut latency_us))
+            .map(|s| s.snapshot(now, &mut wait_us, &mut latency_us))
             .collect();
-        let cpu_pool = snapshot_shard(&self.cpu, now, &mut wait_us, &mut latency_us);
+        let cpu_pool = self.cpu.snapshot(now, &mut wait_us, &mut latency_us);
         wait_us.sort_unstable();
         latency_us.sort_unstable();
         let makespan_s = shards

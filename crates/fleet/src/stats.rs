@@ -1,58 +1,11 @@
 //! Fleet observability: per-shard snapshots rolled up into a
 //! fleet-wide view with merged percentiles.
 
-use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use batsolv_runtime::{percentile_us, ClassesSnapshot};
+use batsolv_runtime::ClassesSnapshot;
 
-use crate::shard::ShardShared;
-
-/// Point-in-time copy of one shard's counters and percentiles. The CPU
-/// spill pool reports through the same shape (its `shard` id is one
-/// past the GPU range, its `device` is the Skylake node).
-#[derive(Clone, Debug)]
-pub struct ShardSnapshot {
-    /// Shard id (GPU shards `0..devices`; the CPU pool is `devices`).
-    pub shard: u32,
-    /// Simulated device behind the shard.
-    pub device: &'static str,
-    /// Chunks queued right now.
-    pub queue_depth: usize,
-    /// Whether the shard's circuit breaker is open right now.
-    pub breaker_open: bool,
-    /// Chunks this shard's worker executed (own plus stolen).
-    pub chunks_executed: u64,
-    /// Systems that reached a converged solution here.
-    pub completed: u64,
-    /// Systems that reached a terminal failure here.
-    pub failed: u64,
-    /// Chunks this shard stole from loaded peers.
-    pub steals_in: u64,
-    /// Chunks loaded peers stole from this shard's queue.
-    pub steals_out: u64,
-    /// Times this shard's breaker tripped open.
-    pub breaker_trips: u64,
-    /// Chunks this shard re-queued elsewhere after a retryable failure.
-    pub retries: u64,
-    /// Hedge duplicates this shard launched against peer flights.
-    pub hedges_fired: u64,
-    /// Hedge duplicates this shard won (delivered at least one outcome).
-    pub hedges_won: u64,
-    /// Systems shed at dispatch (budget spent or sub-deadline under
-    /// degradation).
-    pub shed: u64,
-    /// Simulated device time this shard accumulated, seconds.
-    pub sim_time_s: f64,
-    /// Median queue wait of systems executed here.
-    pub wait_p50: Duration,
-    /// 99th-percentile queue wait of systems executed here.
-    pub wait_p99: Duration,
-    /// Median submit-to-outcome latency of systems executed here.
-    pub latency_p50: Duration,
-    /// 99th-percentile submit-to-outcome latency.
-    pub latency_p99: Duration,
-}
+pub use batsolv_runtime::ShardSnapshot;
 
 /// Fleet-wide rollup: every shard's snapshot plus merged percentiles
 /// and scheduler counters.
@@ -184,51 +137,10 @@ impl FleetSnapshot {
     }
 }
 
-/// Snapshot one shard, appending its raw samples to the fleet-wide
-/// merge vectors.
-pub(crate) fn snapshot_shard(
-    shared: &ShardShared,
-    now: Instant,
-    merged_wait_us: &mut Vec<u64>,
-    merged_latency_us: &mut Vec<u64>,
-) -> ShardSnapshot {
-    let (mut wait, mut latency) = {
-        let s = shared.stats.sampled.lock().unwrap();
-        (
-            s.wait_us.samples().to_vec(),
-            s.latency_us.samples().to_vec(),
-        )
-    };
-    merged_wait_us.extend_from_slice(&wait);
-    merged_latency_us.extend_from_slice(&latency);
-    wait.sort_unstable();
-    latency.sort_unstable();
-    ShardSnapshot {
-        shard: shared.id,
-        device: shared.device_name,
-        queue_depth: shared.queue.len(),
-        breaker_open: shared.breaker.is_open(now),
-        chunks_executed: shared.stats.chunks_executed.load(Ordering::Relaxed),
-        completed: shared.stats.completed.load(Ordering::Relaxed),
-        failed: shared.stats.failed.load(Ordering::Relaxed),
-        steals_in: shared.stats.steals_in.load(Ordering::Relaxed),
-        steals_out: shared.stats.steals_out.load(Ordering::Relaxed),
-        breaker_trips: shared.stats.breaker_trips.load(Ordering::Relaxed),
-        retries: shared.stats.retries.load(Ordering::Relaxed),
-        hedges_fired: shared.stats.hedges_fired.load(Ordering::Relaxed),
-        hedges_won: shared.stats.hedges_won.load(Ordering::Relaxed),
-        shed: shared.stats.shed.load(Ordering::Relaxed),
-        sim_time_s: shared.stats.sim_time_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        wait_p50: Duration::from_micros(percentile_us(&wait, 0.50)),
-        wait_p99: Duration::from_micros(percentile_us(&wait, 0.99)),
-        latency_p50: Duration::from_micros(percentile_us(&latency, 0.50)),
-        latency_p99: Duration::from_micros(percentile_us(&latency, 0.99)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batsolv_runtime::percentile_us;
 
     #[test]
     fn percentile_follows_the_runtime_convention() {

@@ -2,14 +2,18 @@
 //! atomic submit rejection, breaker-aware dispatch, and drain-on-
 //! shutdown semantics.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use batsolv_fleet::{DeviceProfile, FleetConfig, FleetService};
+use batsolv_faults::{FaultKind, FaultPlan, FaultRates};
+use batsolv_fleet::{DeviceProfile, FleetConfig, FleetService, RetryPolicy};
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::{LaunchDisruption, LaunchHook, NoDisruption};
-use batsolv_runtime::{BreakerConfig, SolveRequest, SubmitError};
-use batsolv_trace::{parse_prom_value, EventKind, FlightRecorder, MemorySink, Tracer};
+use batsolv_runtime::{BreakerConfig, SolveError, SolveOutcome, SolveRequest, SubmitError};
+use batsolv_trace::{
+    parse_prom_value, EventKind, FlightRecorder, MemorySink, TraceEvent, TraceSink, Tracer,
+};
 
 fn dominant_values(pattern: &SparsityPattern) -> Vec<f64> {
     (0..pattern.num_rows())
@@ -313,5 +317,123 @@ fn bad_tolerance_rejects_its_group_and_batchmates_stay_on_rung_one() {
         assert_eq!(sol.method, SolveMethod::Bicgstab);
         assert_eq!(sol.rungs.len(), 1, "batchmates stay on rung 1");
     }
+    service.shutdown();
+}
+
+/// A one-shard fleet with retries off serves one group of 8 through a
+/// `FaultPlan` launch hook with `rates`. Returns the ids the plan faults
+/// with `kind` and every member's outcome.
+fn blame_case(kind: FaultKind, rates: FaultRates, seed: u64) -> (Vec<u64>, Vec<SolveOutcome>) {
+    let plan = FaultPlan::new(seed, rates);
+    let guilty: Vec<u64> = (0..8).filter(|&id| plan.rolls(kind, id)).collect();
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    let cfg = FleetConfig::new(1).with_retry(RetryPolicy::disabled());
+    let hooks: Vec<Arc<dyn LaunchHook>> = vec![Arc::new(plan)];
+    let service = FleetService::start_with_hooks(Arc::clone(&pattern), cfg, hooks).unwrap();
+    let ticket = service.submit_group(group(&pattern, 8), None).unwrap();
+    assert_eq!(ticket.ids(), (0..8).collect::<Vec<u64>>());
+    let outcomes = ticket.wait_all();
+    let snap = service.shutdown();
+    assert_eq!(snap.failed(), guilty.len() as u64, "only the guilty fail");
+    assert_eq!(snap.completed(), 8 - guilty.len() as u64);
+    (guilty, outcomes)
+}
+
+/// Blame isolation: the fused chunk a launch panic fails re-runs each
+/// member alone, so only the request whose own launch panics gets
+/// `WorkerPanic`, and the detail names it.
+#[test]
+fn a_worker_panic_is_blamed_on_the_request_that_provokes_it() {
+    let rates = FaultRates {
+        panic: 0.2,
+        ..Default::default()
+    };
+    let (guilty, outcomes) = blame_case(FaultKind::Panic, rates, 21);
+    assert_eq!(guilty, vec![7], "seed 21 panics request 7 alone");
+    for (id, outcome) in outcomes.iter().enumerate() {
+        match outcome {
+            Err(SolveError::WorkerPanic { detail }) if id == 7 => {
+                assert!(detail.contains("request 7"), "detail: {detail}")
+            }
+            Ok(sol) if id != 7 => assert!(sol.residual <= 1e-10),
+            other => panic!("request {id}: {other:?}"),
+        }
+    }
+}
+
+/// The device-failure variant of blame isolation.
+#[test]
+fn a_device_failure_is_blamed_on_the_request_that_provokes_it() {
+    let rates = FaultRates {
+        device_fail: 0.2,
+        ..Default::default()
+    };
+    let (guilty, outcomes) = blame_case(FaultKind::DeviceFail, rates, 33);
+    assert_eq!(guilty, vec![0, 5], "seed 33 fails requests 0 and 5");
+    for (id, outcome) in outcomes.iter().enumerate() {
+        if guilty.contains(&(id as u64)) {
+            assert!(
+                matches!(outcome, Err(SolveError::DeviceFailure { .. })),
+                "request {id}: {outcome:?}"
+            );
+        } else {
+            assert!(outcome.is_ok(), "innocent request {id}: {outcome:?}");
+        }
+    }
+}
+
+/// A trace sink that panics on the first `Dequeued` event: a fault in
+/// the worker loop outside the engine call.
+struct PanicOnFirstDequeue {
+    fired: AtomicBool,
+    inner: MemorySink,
+}
+
+impl TraceSink for PanicOnFirstDequeue {
+    fn emit(&self, event: &TraceEvent) {
+        let dequeued = matches!(event.kind, EventKind::Dequeued { .. });
+        if dequeued && !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("trace sink failure");
+        }
+        self.inner.emit(event);
+    }
+}
+
+/// A panic outside the engine call unwinds the shard's worker loop; the
+/// loop respawns, so the chunk it held resolves as `ServiceShutdown`
+/// and the next group is still served.
+#[test]
+fn a_panic_outside_the_engine_respawns_the_shard_worker() {
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    let sink = Arc::new(PanicOnFirstDequeue {
+        fired: AtomicBool::new(false),
+        inner: MemorySink::new(),
+    });
+    let cfg = FleetConfig::new(1).with_tracer(Tracer::new(Arc::clone(&sink) as Arc<dyn TraceSink>));
+    let service = FleetService::start(Arc::clone(&pattern), cfg).unwrap();
+    for outcome in service
+        .submit_group(group(&pattern, 8), None)
+        .unwrap()
+        .wait_all()
+    {
+        assert!(
+            matches!(outcome, Err(SolveError::ServiceShutdown)),
+            "{outcome:?}"
+        );
+    }
+
+    let ticket = service.submit_group(group(&pattern, 8), None).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(ticket.wait_all()));
+    let served = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a respawned worker serves the next group");
+    waiter.join().unwrap().unwrap();
+    assert!(served.iter().all(Result::is_ok), "{served:?}");
+    assert!(sink
+        .inner
+        .snapshot()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::WorkerRespawn)));
     service.shutdown();
 }

@@ -174,3 +174,26 @@ fn deadline_ledgers_report_hits_and_misses() {
         assert!(l.balanced_within(1.0));
     }
 }
+
+/// Every dispatched request leaves one `Dequeued` event carrying its
+/// queue wait, as in the single-device service's traces.
+#[test]
+fn every_dispatched_request_is_traced_as_dequeued() {
+    let pattern = Arc::new(SparsityPattern::stencil_2d(6, 6, false));
+    let (fleet, sink) = fleet_with_trace(&pattern);
+    let ticket = fleet.submit_group(group(&pattern, 35), None).unwrap();
+    let mut ids = ticket.ids().to_vec();
+    for outcome in ticket.wait_all() {
+        outcome.unwrap();
+    }
+    let _ = fleet.shutdown();
+    let mut dequeued: Vec<u64> = sink
+        .snapshot()
+        .into_iter()
+        .filter(|ev| matches!(ev.kind, EventKind::Dequeued { .. }))
+        .map(|ev| ev.trace_id.expect("dequeued events are request-scoped"))
+        .collect();
+    dequeued.sort_unstable();
+    ids.sort_unstable();
+    assert_eq!(dequeued, ids, "one dequeue per dispatched request");
+}

@@ -295,6 +295,41 @@ fn budget_expiring_while_queued_sheds_instead_of_executing() {
     assert_eq!(snap.failed(), 8);
 }
 
+/// A spent budget reports the whole wait it was debited, not the wait
+/// capped at the deadline: queued behind a 30 ms stall, a 10 ms
+/// deadline is missed by the stall's length.
+#[test]
+fn deadline_exceeded_reports_the_real_wait() {
+    let pattern = Arc::new(SparsityPattern::stencil_2d(5, 5, false));
+    let n = pattern.num_rows();
+    let cfg = FleetConfig::new(1)
+        .with_min_batch_size(2)
+        .with_max_batch_size(8)
+        .with_steal(false);
+    let hooks: Vec<Arc<dyn LaunchHook>> = vec![Arc::new(Stall(Duration::from_millis(30)))];
+    let service = FleetService::start_with_hooks(Arc::clone(&pattern), cfg, hooks).unwrap();
+    let request = || SolveRequest::new(dominant_values(&pattern, 0.0), vec![1.0; n]);
+    let deadline = Duration::from_millis(10);
+    let blocker = service.submit_group(vec![request(); 8], Some(0)).unwrap();
+    let late = service
+        .submit_group(vec![request().with_deadline(deadline); 8], Some(0))
+        .unwrap();
+    assert!(blocker.wait_all().iter().all(Result::is_ok));
+    for outcome in late.wait_all() {
+        match outcome {
+            Err(SolveError::DeadlineExceeded {
+                waited,
+                deadline: d,
+            }) => {
+                assert_eq!(d, deadline);
+                assert!(waited > deadline, "waited {waited:?}: the real wait");
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+    service.shutdown();
+}
+
 #[test]
 fn infeasible_deadline_is_rejected_at_admission() {
     let pattern = Arc::new(SparsityPattern::stencil_2d(5, 5, false));

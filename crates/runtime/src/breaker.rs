@@ -39,6 +39,24 @@ impl Default for BreakerConfig {
     }
 }
 
+impl BreakerConfig {
+    /// Reject knobs with which the breaker cannot work: a trip needs at
+    /// least one degraded batch, and `degraded_fraction` must be a
+    /// fraction (NaN is not).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.trip_after == 0 {
+            return Err("breaker trip_after must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.degraded_fraction) {
+            return Err(format!(
+                "breaker degraded_fraction must be in [0, 1], got {}",
+                self.degraded_fraction
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[derive(Debug)]
 enum State {
     /// Healthy; counting consecutive degraded batches.

@@ -13,12 +13,14 @@ use std::time::Duration;
 /// Remaining time a request may spend in the service.
 ///
 /// `consumed` only grows (saturating at `total`); `remaining` is the
-/// difference. A budget with `total == 0` is exhausted from birth —
-/// admission rejects it as infeasible before it can queue.
+/// difference. `debited` is the same sum without the cap: the time
+/// really spent, which a late dispatch can run past the deadline. A
+/// budget with `total == 0` is exhausted from birth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeadlineBudget {
     total: Duration,
     consumed: Duration,
+    debited: Duration,
 }
 
 impl DeadlineBudget {
@@ -27,6 +29,7 @@ impl DeadlineBudget {
         DeadlineBudget {
             total,
             consumed: Duration::ZERO,
+            debited: Duration::ZERO,
         }
     }
 
@@ -38,6 +41,12 @@ impl DeadlineBudget {
     /// Time debited so far (capped at `total`).
     pub fn consumed(&self) -> Duration {
         self.consumed
+    }
+
+    /// Every debit so far, uncapped: the real wait a request that
+    /// missed its deadline reports.
+    pub fn debited(&self) -> Duration {
+        self.debited
     }
 
     /// Time left before the deadline.
@@ -54,7 +63,8 @@ impl DeadlineBudget {
     /// `total` — a debit can exhaust the budget but never makes
     /// `consumed` overflow past it.
     pub fn debit(&mut self, cost: Duration) -> Duration {
-        self.consumed = self.consumed.saturating_add(cost).min(self.total);
+        self.debited = self.debited.saturating_add(cost);
+        self.consumed = self.debited.min(self.total);
         self.remaining()
     }
 
@@ -91,6 +101,8 @@ mod tests {
         // Further debits are no-ops on an exhausted budget.
         assert_eq!(b.debit(Duration::from_millis(1)), Duration::ZERO);
         assert_eq!(b.consumed(), Duration::from_millis(10));
+        // The uncapped sum keeps the real time spent.
+        assert_eq!(b.debited(), Duration::from_millis(100_005));
     }
 
     #[test]

@@ -10,22 +10,24 @@
 //! | 2     | + sub-deadline chunks shed at dispatch          |
 //! | 3     | + CPU spill cutoff widens (2x `min_batch_size`) |
 //!
-//! Each behavior is *additive*: level 3 implies 1 and 2. Workers read
-//! the level lock-free on their hot path; the admission path publishes
-//! transitions as `DegradeShift` trace events and the level rides every
-//! [`FleetSnapshot`](crate::FleetSnapshot).
+//! Each behavior is *additive*: level 3 implies 1 and 2. Shard workers
+//! read the level lock-free on their hot path; the fleet's admission
+//! path publishes transitions as `DegradeShift` trace events and the
+//! level rides every fleet snapshot. The single-device service has no
+//! ladder: its shard worker runs without one.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::config::DegradeConfig;
 
 /// Shared, lock-free view of the ladder level.
-pub(crate) struct DegradeState {
+pub struct DegradeState {
     level: AtomicU8,
     cfg: DegradeConfig,
 }
 
 impl DegradeState {
+    /// Level 0 under the given thresholds.
     pub fn new(cfg: DegradeConfig) -> DegradeState {
         DegradeState {
             level: AtomicU8::new(0),

@@ -1,4 +1,5 @@
-//! `batsolv-runtime` — a dynamic-batching, supervised solve service.
+//! `batsolv-runtime` — the serving core: a supervised shard worker and
+//! the dynamic-batching solve service built on it.
 //!
 //! The paper's batched solvers assume the caller already *has* a batch:
 //! XGC hands over all ~44k mesh-node systems of a time step at once. In
@@ -8,34 +9,35 @@
 //! crate does that with the continuous-batching shape used by inference
 //! servers, hardened for faulty inputs and a faulty backend:
 //!
-//! * a **bounded submission queue** with explicit backpressure — a full
-//!   queue rejects with [`SubmitError::QueueFull`], never silently drops;
+//! * a **shard worker core** ([`shard`], [`work`]) — a bounded chunk
+//!   queue with explicit backpressure and one supervised worker thread
+//!   per shard, with deadline budgets, retries, blame isolation, steal
+//!   and hedge, and exactly-once outcome slots. `batsolv-fleet` runs one
+//!   shard per device; [`SolveService`] is a one-shard fleet;
 //! * an **admission gate** — non-finite values/RHS/guess and unusable
 //!   Jacobi diagonals bounce with [`SubmitError::Rejected`] *before* they
-//!   can poison a fused launch shared with healthy requests;
-//! * a **batch former** with two flush triggers — target batch size
-//!   reached, or the oldest request aged past a configurable linger
-//!   time;
+//!   can poison a fused launch shared with healthy requests, and a full
+//!   queue rejects with [`SubmitError::QueueFull`];
+//! * a **batch former** as the service worker's front stage, with two
+//!   flush triggers — target batch size reached, or the oldest request
+//!   aged past a configurable linger time;
 //! * an **escalation ladder** ([`LadderEngine`]) running each formed
 //!   batch as one fused [`BatchBicgstab`](batsolv_solvers::BatchBicgstab)
 //!   launch, retrying stragglers with restarted GMRES and, last, the
 //!   banded-LU direct solver (`dgbsv` baseline); every rung attempted is
 //!   recorded in the outcome ([`RungAttempt`]);
-//! * a **supervised worker** — a panic or simulated device failure during
-//!   a fused dispatch is caught, the batch is re-dispatched one system at
-//!   a time so blame lands on the request that provokes it
+//! * **blame isolation** — a panic or simulated device failure during a
+//!   fused dispatch is caught, the batch is re-run one system at a time
+//!   so blame lands on the request that provokes it
 //!   ([`SolveError::WorkerPanic`] / [`SolveError::DeviceFailure`]), and
-//!   healthy neighbors still get their solutions;
-//! * a **watchdog** thread flagging dispatches that exceed a time budget;
-//! * a **circuit breaker** shedding load with [`SubmitError::CircuitOpen`]
-//!   after a run of degraded batches, probing recovery via half-open
-//!   state with exponential backoff;
-//! * **per-request outcomes** — converged solution with iteration count,
-//!   final residual, and the rung trail, or a structured error — exactly
-//!   one per accepted request, delivered through a [`Ticket`];
-//! * a **stats registry** with a full failure taxonomy (rejects by
-//!   reason, breakdowns by kind, breaker trips, watchdog stalls, rung
-//!   histogram) read via [`SolveService::stats`].
+//!   healthy neighbors still get their solutions; a panic elsewhere in
+//!   the loop respawns it;
+//! * a **watchdog** thread flagging dispatches that exceed a time budget
+//!   and a **circuit breaker** shedding load with
+//!   [`SubmitError::CircuitOpen`] after a run of degraded batches;
+//! * **per-request outcomes**, exactly one per accepted request,
+//!   delivered through a [`Ticket`], and a per-shard **stats registry**
+//!   with the full failure taxonomy, read via [`SolveService::stats`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -73,6 +75,7 @@ pub mod breaker;
 pub mod budget;
 pub mod classes;
 pub mod config;
+pub mod degrade;
 pub mod dispatcher;
 pub mod executor;
 pub mod former;
@@ -81,16 +84,18 @@ pub mod queue;
 pub mod request;
 pub mod reservoir;
 pub mod service;
+pub mod shard;
 pub mod stats;
 pub mod terminal;
 pub mod watchdog;
+pub mod work;
 
 pub use admission::{AdmissionGate, RejectReason};
 pub use autotune::{AutoTuner, AutoTunerConfig, Decision};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use budget::DeadlineBudget;
 pub use classes::{ClassStats, ClassTracker, ClassesSnapshot};
-pub use config::RuntimeConfig;
+pub use config::{DegradeConfig, HedgeConfig, RetryPolicy, RuntimeConfig};
 pub use dispatcher::{
     BatchItem, BatchReport, ItemOutcome, LadderConfig, LadderEngine, PrecondVariant, SimSplit,
     SolveEngine, SolverVariant,
@@ -107,6 +112,8 @@ pub use request::{
 };
 pub use reservoir::{percentile_us, Reservoir, DEFAULT_RESERVOIR_CAPACITY};
 pub use service::SolveService;
+pub use shard::ShardSnapshot;
 pub use stats::{StatsRegistry, StatsSnapshot};
 pub use terminal::{panic_detail, settle, Phases, Terminals};
 pub use watchdog::{spawn_watchdog, WatchState};
+pub use work::GroupTicket;

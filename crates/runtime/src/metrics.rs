@@ -311,7 +311,9 @@ pub fn render_class_series(m: &mut MetricsRegistry, prefix: &str, classes: &Clas
 mod tests {
     use super::*;
     use crate::classes::ClassTracker;
+    use crate::stats::tests::{broke_down, solved};
     use crate::stats::StatsRegistry;
+    use crate::SolveMethod;
     use batsolv_trace::{
         check_prom_conformance, parse_prom_labeled, parse_prom_value, WorkloadClass,
     };
@@ -325,19 +327,15 @@ mod tests {
         r.on_rejected("queue_full");
         r.breaker_trips
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        r.on_batch(
-            2,
-            &[Duration::from_micros(40), Duration::from_micros(60)],
-            &[7, 9],
-            crate::stats::BatchOutcomes {
-                converged_iterative: 1,
-                converged_fallback: 1,
-                breakdowns: vec!["rho"],
-                rungs_attempted: vec![1, 3],
-                ..Default::default()
-            },
-            2.5e-4,
-        );
+        r.on_batch(2, 2.5e-4, 0, 0);
+        let mut rho = broke_down(Some("rho"), 3);
+        if let Err(crate::SolveError::NotConverged { iterations, .. }) = &mut rho {
+            *iterations = 9;
+        }
+        for (outcome, wait) in [(solved(SolveMethod::Bicgstab, 7, 1), 40), (rho, 60)] {
+            let wait = Duration::from_micros(wait);
+            r.on_outcome(&outcome, Some((wait, wait)));
+        }
         let s = r.snapshot();
         let page = prometheus_text(&s);
         assert_eq!(
@@ -421,17 +419,9 @@ mod tests {
     fn page_is_exposition_conformant_with_and_without_classes() {
         let r = StatsRegistry::new();
         r.on_accepted();
-        r.on_batch(
-            1,
-            &[Duration::from_micros(10)],
-            &[5],
-            crate::stats::BatchOutcomes {
-                converged_iterative: 1,
-                rungs_attempted: vec![1],
-                ..Default::default()
-            },
-            1e-6,
-        );
+        r.on_batch(1, 1e-6, 0, 0);
+        let wait = Duration::from_micros(10);
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 5, 1), Some((wait, wait)));
         let s = r.snapshot();
         check_prom_conformance(&prometheus_text(&s)).expect("classless page conforms");
 

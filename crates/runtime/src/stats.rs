@@ -1,15 +1,20 @@
-//! Service counters, latency statistics, and the failure taxonomy.
+//! Per-shard counters, latency statistics, and the failure taxonomy.
 //!
-//! Hot-path counters are atomics; the batch-size histogram, breakdown
-//! taxonomy, and the queue-wait samples live behind a mutex touched once
-//! per *batch* (not per request), so contention stays negligible.
+//! One registry per shard worker, read as a [`StatsSnapshot`] by the
+//! single-device service and as a shard row by the fleet. Hot-path
+//! counters are atomics; the batch-size histogram, breakdown taxonomy,
+//! and the latency samples live behind a mutex touched once per
+//! execution and once per delivered outcome. Every outcome is counted at
+//! the delivery that wins its outcome slot, so the counters match what
+//! callers observe even when hedges execute a system twice.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::reservoir::Reservoir;
+use crate::request::{SolveError, SolveMethod, SolveOutcome};
+use crate::reservoir::{percentile_us, Reservoir};
 
 /// Number of power-of-two histogram buckets: bucket `k` counts batches
 /// of size in `[2^k, 2^(k+1))`, so bucket 0 is size 1, bucket 10 covers
@@ -23,14 +28,16 @@ pub const RUNG_BUCKETS: usize = 3;
 #[derive(Debug, Default)]
 struct Sampled {
     batch_size_hist: [u64; HIST_BUCKETS],
-    /// Queue-wait samples in microseconds, one per dispatched request.
+    /// Queue-wait samples in microseconds, one per solved delivery.
     /// Bounded: a fixed-capacity reservoir (Algorithm R, seeded), so a
     /// long-running service never grows the registry without limit while
     /// percentiles stay exact under the cap and representative above it.
     wait_samples_us: Reservoir,
+    /// Enqueue-to-outcome latency samples in microseconds, same
+    /// deliveries (the fleet's hedge delay and latency percentiles).
+    latency_samples_us: Reservoir,
     iterations_total: u64,
     iterations_max: u64,
-    sim_time_total_s: f64,
     /// Breakdown tag → occurrence count (terminal breakdowns only).
     breakdowns: BTreeMap<&'static str, u64>,
     /// `rung_hist[k]` counts requests whose dispatch attempted `k+1`
@@ -42,8 +49,8 @@ struct Sampled {
     precond: &'static str,
 }
 
-/// Shared counter registry written by the service, read via
-/// [`StatsRegistry::snapshot`].
+/// One shard's counter registry, written by its worker and the
+/// submission path, read via [`StatsRegistry::snapshot`].
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
     accepted: AtomicU64,
@@ -60,6 +67,7 @@ pub struct StatsRegistry {
     failed_deadline: AtomicU64,
     failed_device: AtomicU64,
     failed_panic: AtomicU64,
+    /// Executions whose engine returned a report.
     batches_formed: AtomicU64,
     /// Breaker trips, counted by [`Terminals::feed_breaker`].
     ///
@@ -69,6 +77,18 @@ pub struct StatsRegistry {
     worker_respawns: AtomicU64,
     sim_syncs_total: AtomicU64,
     sim_reductions_total: AtomicU64,
+    /// Simulated device time, summed in whole nanoseconds per execution
+    /// (atomics hold no f64).
+    sim_time_ns: AtomicU64,
+    // The shard row's counters, documented on `ShardSnapshot`; a chunk
+    // execution counts failed ones too (own, stolen, hedged).
+    pub(crate) chunks_executed: AtomicU64,
+    pub(crate) steals_in: AtomicU64,
+    pub(crate) steals_out: AtomicU64,
+    pub(crate) retries: AtomicU64,
+    pub(crate) hedges_fired: AtomicU64,
+    pub(crate) hedges_won: AtomicU64,
+    pub(crate) shed: AtomicU64,
     sampled: Mutex<Sampled>,
 }
 
@@ -100,18 +120,6 @@ impl StatsRegistry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn on_deadline_exceeded(&self) {
-        self.failed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_device_failure(&self) {
-        self.failed_device.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_worker_panic_outcome(&self) {
-        self.failed_panic.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn on_watchdog_stall(&self) {
         self.watchdog_stalls.fetch_add(1, Ordering::Relaxed);
     }
@@ -130,51 +138,86 @@ impl StatsRegistry {
         self.sampled.lock().unwrap().precond = name;
     }
 
-    /// Accumulate one dispatch's simulated synchronization counters.
-    pub(crate) fn on_sync_counts(&self, syncs: u64, reductions: u64) {
+    /// Record one execution whose engine returned a report: its size,
+    /// the simulated kernel time it cost, and its synchronization
+    /// counters.
+    pub(crate) fn on_batch(&self, batch_size: usize, sim_time_s: f64, syncs: u64, reductions: u64) {
+        self.batches_formed.fetch_add(1, Ordering::Relaxed);
+        let ns = (sim_time_s * 1e9).max(0.0) as u64;
+        self.sim_time_ns.fetch_add(ns, Ordering::Relaxed);
         self.sim_syncs_total.fetch_add(syncs, Ordering::Relaxed);
         self.sim_reductions_total
             .fetch_add(reductions, Ordering::Relaxed);
-    }
-
-    /// Record one dispatched batch: its size, per-request queue waits,
-    /// per-request outcomes, and the simulated kernel time it cost.
-    pub(crate) fn on_batch(
-        &self,
-        batch_size: usize,
-        waits: &[Duration],
-        iterations: &[u32],
-        outcomes: BatchOutcomes,
-        sim_time_s: f64,
-    ) {
-        self.batches_formed.fetch_add(1, Ordering::Relaxed);
-        self.converged_iterative
-            .fetch_add(outcomes.converged_iterative, Ordering::Relaxed);
-        self.converged_gmres
-            .fetch_add(outcomes.converged_gmres, Ordering::Relaxed);
-        self.converged_fallback
-            .fetch_add(outcomes.converged_fallback, Ordering::Relaxed);
-        self.failed_not_converged
-            .fetch_add(outcomes.failed, Ordering::Relaxed);
-        let mut s = self.sampled.lock().unwrap();
         let bucket = usize::try_from(batch_size.max(1).ilog2())
             .unwrap()
             .min(HIST_BUCKETS - 1);
-        s.batch_size_hist[bucket] += 1;
-        for w in waits {
-            s.wait_samples_us.push(w.as_micros() as u64);
+        self.sampled.lock().unwrap().batch_size_hist[bucket] += 1;
+    }
+
+    /// Count one delivered outcome. `samples` carries the queue wait and
+    /// the enqueue-to-outcome latency of a solved (engine-returned)
+    /// delivery; the ladder's iterations, rungs and breakdown tag are
+    /// read off the outcome itself.
+    pub(crate) fn on_outcome(&self, outcome: &SolveOutcome, samples: Option<(Duration, Duration)>) {
+        let (counter, ran) = match outcome {
+            Ok(s) => {
+                let counter = match s.method {
+                    SolveMethod::Bicgstab => &self.converged_iterative,
+                    SolveMethod::Gmres => &self.converged_gmres,
+                    SolveMethod::BandedLuFallback => &self.converged_fallback,
+                };
+                (counter, Some((s.iterations, s.rungs.len(), None)))
+            }
+            Err(SolveError::NotConverged {
+                iterations,
+                rungs,
+                breakdown,
+                ..
+            }) => (
+                &self.failed_not_converged,
+                Some((*iterations, rungs.len(), *breakdown)),
+            ),
+            Err(SolveError::DeadlineExceeded { .. }) => (&self.failed_deadline, None),
+            Err(SolveError::DeviceFailure { .. }) => (&self.failed_device, None),
+            Err(SolveError::WorkerPanic { .. }) => (&self.failed_panic, None),
+            Err(SolveError::ServiceShutdown) => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let mut s = self.sampled.lock().unwrap();
+        if let Some((wait, latency)) = samples {
+            s.wait_samples_us.push(wait.as_micros() as u64);
+            s.latency_samples_us.push(latency.as_micros() as u64);
         }
-        for &it in iterations {
-            s.iterations_total += u64::from(it);
-            s.iterations_max = s.iterations_max.max(u64::from(it));
-        }
-        s.sim_time_total_s += sim_time_s;
-        for &tag in &outcomes.breakdowns {
-            *s.breakdowns.entry(tag).or_insert(0) += 1;
-        }
-        for &rungs in &outcomes.rungs_attempted {
+        if let Some((iterations, rungs, breakdown)) = ran {
+            s.iterations_total += u64::from(iterations);
+            s.iterations_max = s.iterations_max.max(u64::from(iterations));
             s.rung_hist[rungs.clamp(1, RUNG_BUCKETS) - 1] += 1;
+            if let Some(tag) = breakdown {
+                *s.breakdowns.entry(tag).or_insert(0) += 1;
+            }
         }
+    }
+
+    /// Copies of the raw wait and latency samples, in microseconds.
+    pub(crate) fn samples_us(&self) -> (Vec<u64>, Vec<u64>) {
+        let s = self.sampled.lock().unwrap();
+        (
+            s.wait_samples_us.samples().to_vec(),
+            s.latency_samples_us.samples().to_vec(),
+        )
+    }
+
+    /// The `p` percentile of the latency samples.
+    pub(crate) fn latency_percentile(&self, p: f64) -> Duration {
+        let mut samples = self
+            .sampled
+            .lock()
+            .unwrap()
+            .latency_samples_us
+            .samples()
+            .to_vec();
+        samples.sort_unstable();
+        Duration::from_micros(percentile_us(&samples, p))
     }
 
     /// Consistent point-in-time copy of every counter.
@@ -182,7 +225,7 @@ impl StatsRegistry {
         let s = self.sampled.lock().unwrap();
         let mut waits = s.wait_samples_us.samples().to_vec();
         waits.sort_unstable();
-        let pct = |p: f64| Duration::from_micros(crate::reservoir::percentile_us(&waits, p));
+        let pct = |p: f64| Duration::from_micros(percentile_us(&waits, p));
         StatsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_queue_full: self.rejected_full.load(Ordering::Relaxed),
@@ -209,31 +252,13 @@ impl StatsRegistry {
             queue_wait_p99: pct(0.99),
             solver_iterations_total: s.iterations_total,
             solver_iterations_max: s.iterations_max,
-            sim_time_total_s: s.sim_time_total_s,
+            sim_time_total_s: self.sim_time_ns.load(Ordering::Relaxed) as f64 / 1e9,
             sim_syncs_total: self.sim_syncs_total.load(Ordering::Relaxed),
             sim_reductions_total: self.sim_reductions_total.load(Ordering::Relaxed),
             solver: s.solver,
             precond: s.precond,
         }
     }
-}
-
-/// Per-batch outcome tallies handed to [`StatsRegistry::on_batch`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BatchOutcomes {
-    /// Requests converged by BiCGSTAB (rung 1).
-    pub converged_iterative: u64,
-    /// Requests converged by GMRES (rung 2).
-    pub converged_gmres: u64,
-    /// Requests converged by the banded-LU fallback (rung 3).
-    pub converged_fallback: u64,
-    /// Requests that failed to converge.
-    pub failed: u64,
-    /// Terminal breakdown tags across the batch (one per request that
-    /// ended with a breakdown).
-    pub breakdowns: Vec<&'static str>,
-    /// Ladder rungs attempted per dispatched request.
-    pub rungs_attempted: Vec<usize>,
 }
 
 /// Point-in-time copy of the service counters.
@@ -434,8 +459,64 @@ impl StatsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::request::{RungAttempt, Solution};
+
+    /// A converged outcome after `iterations`, having climbed `rungs`
+    /// ladder rungs.
+    pub(crate) fn solved(method: SolveMethod, iterations: u32, rungs: usize) -> SolveOutcome {
+        let rung = RungAttempt {
+            method,
+            iterations,
+            residual: 0.0,
+            converged: true,
+            breakdown: None,
+        };
+        Ok(Solution {
+            x: vec![],
+            iterations,
+            residual: 0.0,
+            method,
+            batch_size: 1,
+            queue_wait: Duration::ZERO,
+            rungs: vec![rung; rungs],
+        })
+    }
+
+    /// A not-converged outcome that climbed `rungs` rungs and ended
+    /// with breakdown `tag`, if any.
+    pub(crate) fn broke_down(tag: Option<&'static str>, rungs: usize) -> SolveOutcome {
+        Err(SolveError::NotConverged {
+            iterations: 0,
+            residual: f64::NAN,
+            breakdown: tag,
+            rungs: vec![
+                RungAttempt {
+                    method: SolveMethod::Bicgstab,
+                    iterations: 0,
+                    residual: f64::NAN,
+                    converged: false,
+                    breakdown: tag,
+                };
+                rungs
+            ],
+        })
+    }
+
+    /// Record one solved execution the way a shard worker does: the
+    /// execution, then one delivery per outcome with its queue wait.
+    fn batch(r: &StatsRegistry, waits: &[Duration], outcomes: &[SolveOutcome], sim_time_s: f64) {
+        r.on_batch(outcomes.len().max(waits.len()), sim_time_s, 0, 0);
+        for (k, outcome) in outcomes.iter().enumerate() {
+            let wait = waits.get(k).copied().unwrap_or_default();
+            r.on_outcome(outcome, Some((wait, wait)));
+        }
+    }
+
+    fn converged_n(n: usize) -> Vec<SolveOutcome> {
+        vec![solved(SolveMethod::Bicgstab, 1, 1); n]
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -443,16 +524,20 @@ mod tests {
         r.on_accepted();
         r.on_accepted();
         r.on_rejected("queue_full");
-        r.on_deadline_exceeded();
-        r.on_batch(
-            2,
+        r.on_outcome(
+            &Err(SolveError::DeadlineExceeded {
+                waited: Duration::from_millis(2),
+                deadline: Duration::from_millis(1),
+            }),
+            None,
+        );
+        batch(
+            &r,
             &[Duration::from_micros(100), Duration::from_micros(300)],
-            &[10, 20],
-            BatchOutcomes {
-                converged_iterative: 2,
-                rungs_attempted: vec![1, 1],
-                ..Default::default()
-            },
+            &[
+                solved(SolveMethod::Bicgstab, 10, 1),
+                solved(SolveMethod::Bicgstab, 20, 1),
+            ],
             1.5e-4,
         );
         let s = r.snapshot();
@@ -473,17 +558,7 @@ mod tests {
     fn percentiles_from_samples() {
         let r = StatsRegistry::new();
         let waits: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        let iters = vec![1u32; 100];
-        r.on_batch(
-            100,
-            &waits,
-            &iters,
-            BatchOutcomes {
-                converged_iterative: 100,
-                ..Default::default()
-            },
-            0.0,
-        );
+        batch(&r, &waits, &converged_n(100), 0.0);
         let s = r.snapshot();
         // Index round((100-1)*0.5) = 50 → the 51 µs sample.
         assert_eq!(s.queue_wait_p50, Duration::from_micros(51));
@@ -504,18 +579,13 @@ mod tests {
     #[test]
     fn render_mentions_every_section() {
         let r = StatsRegistry::new();
-        r.on_batch(
-            1,
+        batch(
+            &r,
             &[Duration::from_micros(5)],
-            &[3],
-            BatchOutcomes {
-                converged_fallback: 1,
-                breakdowns: vec!["divergence"],
-                rungs_attempted: vec![3],
-                ..Default::default()
-            },
+            &[solved(SolveMethod::BandedLuFallback, 3, 3)],
             1e-6,
         );
+        r.on_outcome(&broke_down(Some("divergence"), 3), None);
         let text = r.snapshot().render();
         assert!(text.contains("batch-size histogram"));
         assert!(text.contains("LU fallback"));
@@ -532,8 +602,11 @@ mod tests {
         r.on_rejected("nonfinite");
         r.on_rejected("zero_diag");
         r.on_rejected("circuit_open");
-        r.on_device_failure();
-        r.on_worker_panic_outcome();
+        r.on_outcome(&Err(SolveError::DeviceFailure { code: "dead" }), None);
+        let panicked = SolveError::WorkerPanic {
+            detail: "boom".into(),
+        };
+        r.on_outcome(&Err(panicked), None);
         r.breaker_trips.fetch_add(1, Ordering::Relaxed);
         r.on_watchdog_stall();
         r.on_worker_respawn();
@@ -553,17 +626,7 @@ mod tests {
     #[test]
     fn single_sample_is_every_percentile() {
         let r = StatsRegistry::new();
-        r.on_batch(
-            1,
-            &[Duration::from_micros(777)],
-            &[1],
-            BatchOutcomes {
-                converged_iterative: 1,
-                rungs_attempted: vec![1],
-                ..Default::default()
-            },
-            0.0,
-        );
+        batch(&r, &[Duration::from_micros(777)], &converged_n(1), 0.0);
         let s = r.snapshot();
         assert_eq!(s.queue_wait_p50, Duration::from_micros(777));
         assert_eq!(s.queue_wait_p99, Duration::from_micros(777));
@@ -583,7 +646,7 @@ mod tests {
             (1 << 11, 11),
         ] {
             let r = StatsRegistry::new();
-            r.on_batch(size, &[], &[], BatchOutcomes::default(), 0.0);
+            r.on_batch(size, 0.0, 0, 0);
             let s = r.snapshot();
             assert_eq!(
                 s.batch_size_hist[bucket], 1,
@@ -593,7 +656,7 @@ mod tests {
         }
         // Oversized batches clamp into the last bucket.
         let r = StatsRegistry::new();
-        r.on_batch(1 << 13, &[], &[], BatchOutcomes::default(), 0.0);
+        r.on_batch(1 << 13, 0.0, 0, 0);
         assert_eq!(r.snapshot().batch_size_hist[HIST_BUCKETS - 1], 1);
     }
 
@@ -604,8 +667,7 @@ mod tests {
         for n in [1u64, 2, 4, 8, 16, 3, 7, 15] {
             let r = StatsRegistry::new();
             let waits: Vec<Duration> = (1..=n).map(Duration::from_micros).collect();
-            let iters = vec![1u32; n as usize];
-            r.on_batch(n as usize, &waits, &iters, BatchOutcomes::default(), 0.0);
+            batch(&r, &waits, &converged_n(n as usize), 0.0);
             let s = r.snapshot();
             let idx = ((n - 1) as f64 * 0.5).round() as u64;
             assert_eq!(
@@ -623,9 +685,9 @@ mod tests {
         let r = StatsRegistry::new();
         // Feed far more samples than the reservoir holds, all 500 µs.
         let waits = vec![Duration::from_micros(500); 4096];
-        let iters = vec![1u32; 4096];
+        let outcomes = converged_n(4096);
         for _ in 0..8 {
-            r.on_batch(4096, &waits, &iters, BatchOutcomes::default(), 0.0);
+            batch(&r, &waits, &outcomes, 0.0);
         }
         let s = r.snapshot();
         // 32k offered, at most DEFAULT_RESERVOIR_CAPACITY retained — and
@@ -647,9 +709,9 @@ mod tests {
         let r = StatsRegistry::new();
         let mut waits = vec![Duration::from_micros(100); 900];
         waits.extend(vec![Duration::from_micros(10_000); 100]);
-        let iters = vec![1u32; 1000];
+        let outcomes = converged_n(1000);
         for _ in 0..40 {
-            r.on_batch(1000, &waits, &iters, BatchOutcomes::default(), 0.0);
+            batch(&r, &waits, &outcomes, 0.0);
         }
         let s = r.snapshot();
         assert_eq!(s.queue_wait_p50, Duration::from_micros(100));
@@ -659,19 +721,11 @@ mod tests {
     #[test]
     fn breakdowns_aggregate_by_tag() {
         let r = StatsRegistry::new();
-        for tags in [vec!["rho", "singular"], vec!["rho"]] {
-            r.on_batch(
-                2,
-                &[],
-                &[],
-                BatchOutcomes {
-                    failed: tags.len() as u64,
-                    breakdowns: tags,
-                    rungs_attempted: vec![3, 3],
-                    ..Default::default()
-                },
-                0.0,
-            );
+        for tags in [[Some("rho"), Some("singular")], [Some("rho"), None]] {
+            r.on_batch(2, 0.0, 0, 0);
+            for tag in tags {
+                r.on_outcome(&broke_down(tag, 3), None);
+            }
         }
         let s = r.snapshot();
         assert_eq!(s.breakdowns.get("rho"), Some(&2));

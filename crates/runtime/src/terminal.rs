@@ -1,13 +1,12 @@
 //! A request's terminal moment, shared by every serving stack.
 //!
-//! Whichever path a request takes through [`SolveService`](crate::SolveService)
-//! or a fleet shard, it ends here exactly once. Its wall-phase
+//! Whichever path a request takes through a shard worker, the
+//! single-device service's or a fleet's, it ends here exactly once. Its wall-phase
 //! accumulators ([`Phases`]) close into a [`PhaseLedger`], and
 //! [`Terminals::record`] emits the `Terminal` and `Ledger` events and
 //! feeds the class tracker and, when one is configured, the autotuner.
-//! Exactly-once is the caller's side of the contract: the service owns
-//! each request outright, and a fleet shard calls in only from the
-//! delivery that won the request's outcome slot.
+//! Exactly-once is the caller's side of the contract: the shard worker
+//! calls in only from the delivery that won the request's outcome slot.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,30 +1,35 @@
-//! Work items flowing through the fleet: pending systems, routed
-//! chunks, and the group ticket callers redeem for outcomes.
+//! Work items flowing through a shard worker: pending systems, routed
+//! chunks, and the group ticket fleet callers redeem for outcomes.
 //!
 //! The exactly-once contract lives here. Every accepted system owns one
-//! [`OutcomeSlot`]: an atomically claimed, single-shot outcome channel.
+//! `OutcomeSlot`: an atomically claimed, single-shot outcome channel.
 //! Retries and hedge duplicates mean a system can be *executed* more
 //! than once, but only the first executor to reach a terminal outcome
-//! wins the slot — every later delivery attempt is a no-op. Stats
-//! counters (`completed`/`failed`) increment only on the winning
-//! delivery, so accounting matches what the caller observes.
+//! wins the slot — every later delivery attempt is a no-op. Outcome
+//! counters increment only on the winning delivery, so accounting
+//! matches what the caller observes.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use batsolv_runtime::{BatchItem, DeadlineBudget, Phases, RequestId, SolveError, SolveOutcome};
+use crate::budget::DeadlineBudget;
+use crate::dispatcher::BatchItem;
+use crate::request::{RequestId, SolveError, SolveOutcome, SolveRequest};
+use crate::terminal::Phases;
 
-/// Group-completion tracker for straggler attribution: the winning
-/// delivery that drops `remaining` to zero finished the group, and its
-/// phase ledger gets the `straggler` flag (only meaningful for groups
-/// of more than one system).
-pub(crate) struct GroupProgress {
+/// Group-completion tracker for straggler attribution. A member of a
+/// multi-system group is its group's straggler when its delivery drops
+/// `remaining` to zero. A one-system group (a service request) has no
+/// group to complete, so its member takes the batch rule instead: the
+/// member of a multi-system execution that ran the most iterations.
+pub struct GroupProgress {
     total: usize,
     remaining: AtomicUsize,
 }
 
 impl GroupProgress {
+    /// A group of `total` systems, none delivered yet.
     pub fn new(total: usize) -> GroupProgress {
         GroupProgress {
             total,
@@ -32,10 +37,12 @@ impl GroupProgress {
         }
     }
 
-    /// Record one terminal delivery; true iff it completed a group of
-    /// more than one system (the group's straggler).
-    pub fn finish_one(&self) -> bool {
-        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && self.total > 1
+    /// Record one terminal delivery and return its straggler flag:
+    /// whether it completed a multi-system group, or, for a one-system
+    /// group, `batch_straggler`.
+    pub(crate) fn finish_one(&self, batch_straggler: bool) -> bool {
+        let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+        (self.total > 1 && last) || (self.total == 1 && batch_straggler)
     }
 }
 
@@ -70,24 +77,6 @@ impl OutcomeSlot {
         self.tx.lock().unwrap().take()
     }
 
-    /// Deliver the terminal outcome if no one has yet. Returns true iff
-    /// this call won the slot. Production paths use [`claim`] directly
-    /// so counters land before the send; this wrapper keeps the race
-    /// tests focused on the claim arbiter itself.
-    ///
-    /// [`claim`]: OutcomeSlot::claim
-    #[cfg(test)]
-    pub fn deliver(&self, outcome: SolveOutcome) -> bool {
-        match self.claim() {
-            Some(tx) => {
-                // A dropped receiver is the caller's business, not ours.
-                let _ = tx.send(outcome);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// True once some executor has won the slot. Advisory only — a
     /// false answer can be stale by the time the caller acts on it, so
     /// it gates *work avoidance*, never correctness.
@@ -100,35 +89,64 @@ impl OutcomeSlot {
 ///
 /// Clone-able because hedging duplicates in-flight work: the hedge
 /// executor gets its own copy of the payload but shares the
-/// [`OutcomeSlot`] through the `Arc`, which is what keeps the outcome
+/// `OutcomeSlot` through the `Arc`, which is what keeps the outcome
 /// exactly-once.
 #[derive(Clone)]
-pub(crate) struct Pending {
+pub struct Pending {
     /// The payload as the engine takes it; `item.id` is the
-    /// fleet-assigned request id (one namespace across shards).
-    pub item: BatchItem,
+    /// service-assigned request id (one namespace across shards).
+    pub(crate) item: BatchItem,
     /// When the system entered a queue (wait measurement). Reset on
     /// retry re-queue so wait samples measure the current hop.
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
     /// Remaining deadline budget, if the request carried a deadline.
     /// A value type: it rides the Pending through queues, steals, and
     /// retries, debited at each hop.
-    pub budget: Option<DeadlineBudget>,
+    pub(crate) budget: Option<DeadlineBudget>,
     /// 1-based execution attempt; bumped when the retry policy
     /// re-routes the system after a retryable failure.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Exactly-once outcome channel, shared with any hedge duplicate.
-    pub slot: Arc<OutcomeSlot>,
+    pub(crate) slot: Arc<OutcomeSlot>,
     /// Wall-phase accumulators of the phase ledger; unlike `enqueued`,
     /// their `submitted` anchor is never reset.
-    pub phases: Phases,
+    pub(crate) phases: Phases,
     /// Group-completion tracker shared by every member.
-    pub group: Arc<GroupProgress>,
+    pub(crate) group: Arc<GroupProgress>,
 }
 
 impl Pending {
+    /// Admit `request` as system `id` of `group`: it entered submit at
+    /// `submitted` and its first queue at `enqueued`. Returns the
+    /// pending system and the receiver its one outcome arrives on.
+    pub fn admit(
+        id: RequestId,
+        request: SolveRequest,
+        submitted: Instant,
+        enqueued: Instant,
+        group: Arc<GroupProgress>,
+    ) -> (Pending, mpsc::Receiver<SolveOutcome>) {
+        let (tx, rx) = mpsc::channel();
+        let pending = Pending {
+            item: BatchItem {
+                id,
+                values: request.values,
+                rhs: request.rhs,
+                guess: request.guess,
+                tolerance: request.tolerance,
+            },
+            enqueued,
+            budget: request.deadline.map(DeadlineBudget::new),
+            attempt: 1,
+            slot: Arc::new(OutcomeSlot::new(tx)),
+            phases: Phases::new(submitted, enqueued, request.deadline.is_some()),
+            group,
+        };
+        (pending, rx)
+    }
+
     /// Move the payload out for the engine, leaving the id behind.
-    pub fn take_item(&mut self) -> BatchItem {
+    pub(crate) fn take_item(&mut self) -> BatchItem {
         let id = self.item.id;
         std::mem::replace(
             &mut self.item,
@@ -143,14 +161,15 @@ impl Pending {
 /// A routed unit of execution: the systems of one placement, tagged
 /// with the shard the scheduler assigned them to. A thief executing a
 /// stolen chunk keeps `origin` so steals stay attributable.
-pub(crate) struct Chunk {
+pub struct Chunk {
+    /// The systems, in group order.
     pub items: Vec<Pending>,
     /// The shard the scheduler originally dispatched the chunk to.
     pub origin: u32,
 }
 
 impl Chunk {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 }
@@ -159,11 +178,17 @@ impl Chunk {
 /// terminal outcome, in submission order.
 #[derive(Debug)]
 pub struct GroupTicket {
-    pub(crate) ids: Vec<RequestId>,
-    pub(crate) rxs: Vec<mpsc::Receiver<SolveOutcome>>,
+    ids: Vec<RequestId>,
+    rxs: Vec<mpsc::Receiver<SolveOutcome>>,
 }
 
 impl GroupTicket {
+    /// The ticket of a group whose member `k` has id `ids[k]` and
+    /// reports on `rxs[k]`.
+    pub fn new(ids: Vec<RequestId>, rxs: Vec<mpsc::Receiver<SolveOutcome>>) -> GroupTicket {
+        GroupTicket { ids, rxs }
+    }
+
     /// Request ids assigned to the group, in submission order.
     pub fn ids(&self) -> &[RequestId] {
         &self.ids
@@ -191,6 +216,23 @@ impl GroupTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OutcomeSlot {
+        /// Deliver the terminal outcome if no one has yet. Returns true
+        /// iff this call won the slot. Production paths use `claim`
+        /// directly so counters land before the send; this wrapper keeps
+        /// the race tests focused on the claim arbiter itself.
+        fn deliver(&self, outcome: SolveOutcome) -> bool {
+            match self.claim() {
+                Some(tx) => {
+                    // A dropped receiver is the caller's business.
+                    let _ = tx.send(outcome);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
 
     #[test]
     fn slot_delivers_exactly_once() {

@@ -532,6 +532,51 @@ fn breaker_trips_sheds_and_half_opens() {
     assert!(stats.rejected_circuit_open >= 2);
 }
 
+/// Fails every launch that carries more than one system.
+struct FailFused;
+
+impl batsolv_gpusim::LaunchHook for FailFused {
+    fn disrupt(&self, ids: &[u64]) -> batsolv_gpusim::LaunchDisruption {
+        if ids.len() > 1 {
+            batsolv_gpusim::LaunchDisruption::DeviceFail { code: "fused" }
+        } else {
+            batsolv_gpusim::LaunchDisruption::Proceed
+        }
+    }
+}
+
+/// The breaker guards the device, so it sees the failed fused execution
+/// before blame isolation re-runs its members: one failed fused launch
+/// trips a `trip_after: 1` breaker even though every member then solves
+/// alone.
+#[test]
+fn breaker_sees_the_failed_fused_execution_before_isolation() {
+    let pattern = tridiag_pattern(24);
+    let config = base_config(4)
+        .with_linger(Duration::from_millis(200))
+        .with_breaker(Some(BreakerConfig {
+            trip_after: 1,
+            cooldown: Duration::from_secs(60),
+            max_backoff: Duration::from_secs(60),
+            degraded_fraction: 0.5,
+        }));
+    let service =
+        SolveService::start_with_hook(Arc::clone(&pattern), config, Arc::new(FailFused)).unwrap();
+    let tickets: Vec<_> = (0..4)
+        .map(|i| {
+            let (values, rhs) = clean_system(&pattern, i);
+            service.submit(SolveRequest::new(values, rhs)).unwrap()
+        })
+        .collect();
+    for t in tickets {
+        let outcome = t.wait_timeout(OUTCOME_TIMEOUT).unwrap();
+        assert!(outcome.is_ok(), "isolated members solve: {outcome:?}");
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.breaker_trips, 1, "the fused failure tripped it");
+    assert_eq!(stats.failed_device, 0);
+}
+
 /// Watchdog: an injected stall past the dispatch budget is counted.
 #[test]
 fn watchdog_counts_stalled_dispatches() {

@@ -161,6 +161,35 @@ fn queue_wait_excludes_the_solve() {
     );
 }
 
+/// Echo engine whose every dispatch costs 1.5 ns of simulated time.
+struct SubNanosecondEngine;
+
+impl SolveEngine for SubNanosecondEngine {
+    fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
+        let mut report = EchoEngine::new().solve_batch(items)?;
+        report.sim_time_s = 1.5e-9;
+        Ok(report)
+    }
+}
+
+/// Simulated kernel time is summed in whole nanoseconds per execution,
+/// as the fleet's shards sum it: three 1.5 ns dispatches total 3 ns.
+#[test]
+fn sim_time_sums_whole_nanoseconds_per_execution() {
+    let config = RuntimeConfig::new(DeviceSpec::v100())
+        .with_batch_target(1)
+        .with_linger(Duration::ZERO);
+    let service =
+        SolveService::start_with_engine(tiny_pattern(), config, Arc::new(SubNanosecondEngine))
+            .unwrap();
+    for _ in 0..3 {
+        assert!(service.submit(tiny_request()).unwrap().wait().is_ok());
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.batches_formed, 3);
+    assert_eq!(stats.sim_time_total_s, 3e-9);
+}
+
 #[test]
 fn expired_deadline_returns_structured_error() {
     let engine = Arc::new(EchoEngine::new());

@@ -46,7 +46,7 @@
 //! | [`solvers`] | `batsolv-solvers` | BiCGSTAB/CG/CGS/GMRES, preconditioners, direct baselines |
 //! | [`eigen`] | `batsolv-eigen` | Hessenberg + Francis QR eigensolver |
 //! | [`xgc`] | `batsolv-xgc` | collision-kernel proxy app (grid, operator, Picard loop) |
-//! | [`runtime`] | `batsolv-runtime` | supervised dynamic-batching solve service (admission gate, escalation ladder, panic isolation, watchdog, circuit breaker, stats) |
+//! | [`runtime`] | `batsolv-runtime` | shard worker core of both serving stacks, and the dynamic-batching solve service on it (admission gate, escalation ladder, blame isolation, watchdog, circuit breaker, stats) |
 //! | [`faults`] | `batsolv-faults` | deterministic fault injection (seeded `FaultPlan`, data poisoning, launch disruption) |
 
 pub use batsolv_blas as blas;

@@ -9,14 +9,17 @@
 //! request by request on the tag and the iteration count. The ladder's
 //! iteration caps are starved so the success path spreads over all three
 //! rungs; a launch hook that fails every launch covers the device-failure
-//! path, with the fleet's retries off.
+//! path, with the fleet's retries off. A seeded panic hook that faults
+//! some requests' launches pins blame isolation: both stacks fail only
+//! the guilty requests and solve the innocent ones bitwise alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use batsolv::prelude::*;
-use batsolv::runtime::{LadderConfig, PrecondVariant, SolverVariant};
+use batsolv::runtime::{LadderConfig, PrecondVariant, SolveOutcome, SolverVariant};
+use batsolv_faults::{FaultKind, FaultPlan, FaultRates};
 use batsolv_fleet::{DeviceProfile, FleetConfig, FleetService, RetryPolicy};
 use batsolv_gpusim::{LaunchDisruption, LaunchHook, NoDisruption};
 use batsolv_trace::{EventKind, MemorySink, PhaseLedger, TraceEvent, Tracer};
@@ -116,6 +119,11 @@ fn records(stack: &str, ids: &[u64], events: &[TraceEvent]) -> Vec<Record> {
 /// Run the workload through a `SolveService`; `hook` sits in front of
 /// every launch.
 fn through_service(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> Vec<Record> {
+    served(w, hook).0
+}
+
+/// [`through_service`], also returning each request's outcome.
+fn served(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> (Vec<Record>, Vec<SolveOutcome>) {
     let sink = Arc::new(MemorySink::new());
     let mut config = RuntimeConfig::new(DeviceSpec::v100())
         .with_batch_target(w.num_systems())
@@ -129,16 +137,19 @@ fn through_service(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> Vec<Record> {
         .map(|r| service.submit(r).unwrap())
         .collect();
     let ids: Vec<u64> = tickets.iter().map(|t| t.id()).collect();
-    for t in tickets {
-        let _ = t.wait();
-    }
+    let outcomes = tickets.into_iter().map(|t| t.wait()).collect();
     service.shutdown();
-    records("service", &ids, &sink.snapshot())
+    (records("service", &ids, &sink.snapshot()), outcomes)
 }
 
 /// Run the workload through a one-device `FleetService` as one group
 /// that rides the GPU shard.
 fn through_fleet(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> Vec<Record> {
+    fleet_served(w, hook).0
+}
+
+/// [`through_fleet`], also returning each request's outcome.
+fn fleet_served(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> (Vec<Record>, Vec<SolveOutcome>) {
     let sink = Arc::new(MemorySink::new());
     let config = FleetConfig::new(1)
         .with_profile(DeviceProfile::V100)
@@ -151,9 +162,9 @@ fn through_fleet(w: &XgcWorkload, hook: Arc<dyn LaunchHook>) -> Vec<Record> {
         FleetService::start_with_hooks(Arc::clone(w.pattern()), config, vec![hook]).unwrap();
     let ticket = fleet.submit_group(requests(w), None).unwrap();
     let ids = ticket.ids().to_vec();
-    ticket.wait_all();
+    let outcomes = ticket.wait_all();
     fleet.shutdown();
-    records("fleet", &ids, &sink.snapshot())
+    (records("fleet", &ids, &sink.snapshot()), outcomes)
 }
 
 fn assert_parity(service: &[Record], fleet: &[Record]) {
@@ -197,4 +208,31 @@ fn device_failure_reports_the_same_terminals_in_both_stacks() {
             .all(|r| r.tag == "device_failure" && r.iterations == 0),
         "{service:?}"
     );
+}
+
+#[test]
+fn a_guilty_request_is_isolated_the_same_way_in_both_stacks() {
+    let w = workload();
+    let plan = FaultPlan::new(
+        24,
+        FaultRates {
+            panic: 0.2,
+            ..Default::default()
+        },
+    );
+    let guilty: Vec<usize> = (0..w.num_systems())
+        .filter(|&i| plan.rolls(FaultKind::Panic, i as u64))
+        .collect();
+    assert_eq!(guilty, vec![3, 5], "seed 24 panics requests 3 and 5");
+    let (service, service_out) = served(&w, Arc::new(plan.clone()));
+    let (fleet, fleet_out) = fleet_served(&w, Arc::new(plan));
+    assert_parity(&service, &fleet);
+    for (k, (s, f)) in service_out.iter().zip(&fleet_out).enumerate() {
+        if guilty.contains(&k) {
+            assert_eq!(service[k].tag, "worker_panic", "request {k}");
+            continue;
+        }
+        let (s, f) = (s.as_ref().unwrap(), f.as_ref().unwrap());
+        assert_eq!(s.x, f.x, "request {k}: innocent solutions differ");
+    }
 }
